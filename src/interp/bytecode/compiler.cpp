@@ -1,6 +1,8 @@
 // Compiles Assign statements and DO-loop nests into flat register
 // programs (see bytecode.hpp for the execution model and the exact
 // equivalence contract with the tree-walker).
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <set>
 #include <unordered_map>
@@ -31,20 +33,17 @@ bool compilable_expr(const Expr& e) {
     case ExprKind::VarRef:
       return e.slot >= 0;
     case ExprKind::ArrayRef:
-      if (e.slot < 0 || e.args.empty() || e.args.size() > 8) return false;
+      if (e.slot < 0 || e.args.empty()) return false;
       break;
     case ExprKind::Unary:
     case ExprKind::Binary:
       break;
-    case ExprKind::Intrinsic: {
+    case ExprKind::Intrinsic:
       if (e.slot < 0) return false;
-      const auto op = static_cast<Intrinsic>(e.slot);
-      const bool binary = op == Intrinsic::Atan2 || op == Intrinsic::Mod ||
-                          op == Intrinsic::Sign;
-      if (binary && e.args.size() < 2) return false;
       break;
-    }
   }
+  // Subscripts and intrinsic arguments are gathered into 8-slot buffers.
+  if (e.args.size() > 8) return false;
   for (const auto& a : e.args) {
     if (!a || !compilable_expr(*a)) return false;
   }
@@ -83,9 +82,10 @@ bool compilable_stmt(const Stmt& s) {
   }
 }
 
-/// True when the subtree can end an iteration early (RETURN/STOP):
-/// strength reduction is disabled for such loops because a hoisted
-/// bounds check could fire for iterations that never execute.
+/// True when the subtree can end an iteration early (RETURN/STOP).
+/// Such loops get neither strength reduction (a hoisted bounds check
+/// could fire for iterations that never execute) nor per-iteration
+/// flop accounting (an iteration may stop part-way through its body).
 bool has_early_exit(const fortran::StmtList& body) {
   for (const auto& st : body) {
     if (st->kind == StmtKind::Return || st->kind == StmtKind::Stop) {
@@ -167,6 +167,25 @@ void for_each_array_ref(const Expr& e,
   }
 }
 
+Op binary_op(BinOp op) {
+  switch (op) {
+    case BinOp::Sub: return Op::Sub;
+    case BinOp::Mul: return Op::Mul;
+    case BinOp::Div: return Op::Div;
+    case BinOp::Pow: return Op::Pow;
+    case BinOp::Lt: return Op::Lt;
+    case BinOp::Le: return Op::Le;
+    case BinOp::Gt: return Op::Gt;
+    case BinOp::Ge: return Op::Ge;
+    case BinOp::Eq: return Op::CmpEq;
+    case BinOp::Ne: return Op::CmpNe;
+    default: return Op::Add;  // Add; And/Or are compiled as branches
+  }
+}
+
+/// No enclosing loop charges this statement's flops per iteration.
+constexpr int kNoLoop = -1;
+
 }  // namespace
 
 /// One compilation of one statement (friend of Program).
@@ -185,163 +204,174 @@ class Compiler {
       emit_do(s);
       ++stats_->kernels_compiled;
     } else {
-      emit_assign(s);
+      emit_assign(s, kNoLoop);
       ++stats_->stmts_compiled;
     }
     emit(Op::Halt);
-    prog_->num_regs_ = nregs_;
+
+    for (const auto& h : prog_->homes_) {
+      if (written_slots_.count(h.slot)) prog_->written_.push_back(h);
+    }
+    prog_->regs_.assign(static_cast<std::size_t>(nregs_), 0.0);
+    for (const auto& [bits, reg] : const_reg_) {
+      prog_->regs_[static_cast<std::size_t>(reg)] =
+          std::bit_cast<double>(bits);
+    }
+    prog_->loop_state_.resize(prog_->loops_.size());
+    prog_->walk_state_.resize(prog_->walks_.size());
     stats_->instrs_emitted += static_cast<long long>(prog_->code_.size());
     return std::move(prog_);
   }
 
  private:
-  int alloc(int n = 1) {
-    const int r = nregs_;
-    nregs_ += n;
-    return r;
-  }
+  int alloc() { return nregs_++; }
 
-  int emit(Op op, int a = 0, int b = 0, int c = 0, int d = 0,
-           double imm = 0.0) {
-    prog_->code_.push_back(Instr{op, a, b, c, d, imm});
+  int emit(Op op, int a = 0, int b = 0, int c = 0, int d = 0) {
+    prog_->code_.push_back(Instr{op, a, b, c, d});
     return static_cast<int>(prog_->code_.size()) - 1;
   }
 
   int here() const { return static_cast<int>(prog_->code_.size()); }
 
-  // --- expressions --------------------------------------------------
+  Instr& at(int pc) { return prog_->code_[static_cast<std::size_t>(pc)]; }
 
-  void emit_expr(const Expr& e, int dst) {
+  LoopDesc& loop(int li) { return prog_->loops_[static_cast<std::size_t>(li)]; }
+
+  // --- registers ----------------------------------------------------
+
+  /// The constant register holding `v` (one per distinct bit pattern).
+  int constant(double v) {
+    const auto [it, fresh] =
+        const_reg_.try_emplace(std::bit_cast<std::uint64_t>(v), nregs_);
+    if (fresh) alloc();
+    return it->second;
+  }
+
+  /// The home register of scalar slot `slot`.
+  int home(int slot, bool written) {
+    if (written) written_slots_.insert(slot);
+    const auto [it, fresh] = home_reg_.try_emplace(slot, nregs_);
+    if (fresh) prog_->homes_.push_back(Program::Home{alloc(), slot});
+    return it->second;
+  }
+
+  /// The register holding the value of `e`: its constant or home
+  /// register for a leaf, otherwise a fresh temporary computed here.
+  int operand(const Expr& e) {
     switch (e.kind) {
       case ExprKind::IntLit:
-        emit(Op::Imm, dst, 0, 0, 0, static_cast<double>(e.int_value));
-        return;
+        return constant(static_cast<double>(e.int_value));
       case ExprKind::RealLit:
-        emit(Op::Imm, dst, 0, 0, 0, e.real_value);
-        return;
+        return constant(e.real_value);
       case ExprKind::LogicalLit:
-        emit(Op::Imm, dst, 0, 0, 0, e.bool_value ? 1.0 : 0.0);
-        return;
+        return constant(e.bool_value ? 1.0 : 0.0);
       case ExprKind::StrLit:
-        emit(Op::Imm, dst, 0, 0, 0, 0.0);  // unreachable (rejected)
-        return;
+        return constant(0.0);  // unreachable (rejected)
       case ExprKind::VarRef:
-        emit(Op::LoadScalar, dst, e.slot);
-        return;
-      case ExprKind::ArrayRef: {
+        return home(e.slot, false);
+      case ExprKind::Unary:
+        if (e.un_op == fortran::UnOp::Plus) return operand(*e.args[0]);
+        break;
+      default:
+        break;
+    }
+    const int t = alloc();
+    emit_expr(e, t);
+    return t;
+  }
+
+  /// Evaluates `args` left to right and appends their registers to the
+  /// program's operand lists; returns the list's first index.
+  int operand_list(const std::vector<fortran::ExprPtr>& args) {
+    std::vector<int> regs;
+    regs.reserve(args.size());
+    for (const auto& a : args) regs.push_back(operand(*a));
+    const int first = static_cast<int>(prog_->operands_.size());
+    prog_->operands_.insert(prog_->operands_.end(), regs.begin(), regs.end());
+    return first;
+  }
+
+  // --- expressions --------------------------------------------------
+
+  /// Computes `e` into register `dst`. Every instruction writes its
+  /// destination only after reading all of its operands, so `dst` may
+  /// be the home of a scalar the expression reads.
+  void emit_expr(const Expr& e, int dst) {
+    const int n = static_cast<int>(e.args.size());
+    switch (e.kind) {
+      case ExprKind::ArrayRef:
         if (const auto it = walk_of_.find(&e); it != walk_of_.end()) {
-          emit(Op::LoadWalk, dst, e.slot, it->second);
-          return;
+          emit(Op::LoadWalk, dst, it->second);
+        } else {
+          emit(Op::LoadElem, dst, e.slot, operand_list(e.args), n);
         }
-        const int n = static_cast<int>(e.args.size());
-        const int base = alloc(n);
-        for (int k = 0; k < n; ++k) {
-          emit_expr(*e.args[static_cast<std::size_t>(k)], base + k);
-        }
-        emit(Op::LoadElem, dst, e.slot, base, n);
         return;
-      }
-      case ExprKind::Unary: {
+      case ExprKind::Unary:
         if (e.un_op == fortran::UnOp::Plus) {
           emit_expr(*e.args[0], dst);
-          return;
+        } else {
+          emit(e.un_op == fortran::UnOp::Neg ? Op::Neg : Op::Not, dst,
+               operand(*e.args[0]));
         }
-        const int t = alloc();
-        emit_expr(*e.args[0], t);
-        emit(e.un_op == fortran::UnOp::Neg ? Op::Neg : Op::Not, dst, t);
         return;
-      }
       case ExprKind::Binary:
         emit_binary(e, dst);
         return;
-      case ExprKind::Intrinsic: {
-        const int n = static_cast<int>(e.args.size());
-        const int base = alloc(n);
-        for (int k = 0; k < n; ++k) {
-          emit_expr(*e.args[static_cast<std::size_t>(k)], base + k);
-        }
-        emit(Op::Intrin, dst, e.slot, base, n);
+      case ExprKind::Intrinsic:
+        emit(Op::Intrin, dst, e.slot, operand_list(e.args), n);
         return;
-      }
+      default:
+        break;
     }
+    emit(Op::Move, dst, operand(e));  // a leaf
   }
 
   void emit_binary(const Expr& e, int dst) {
     // Short-circuit logicals become branches, exactly mirroring the
     // tree-walker (the right operand of .and. must not be evaluated —
     // it may index an array out of bounds).
-    if (e.bin_op == BinOp::And) {
-      const int t = alloc();
-      emit_expr(*e.args[0], t);
-      const int j0 = emit(Op::JumpIfZero, t);
-      emit_expr(*e.args[1], t);
-      const int j1 = emit(Op::JumpIfZero, t);
-      emit(Op::Imm, dst, 0, 0, 0, 1.0);
+    if (e.bin_op == BinOp::And || e.bin_op == BinOp::Or) {
+      const Op decided = e.bin_op == BinOp::And ? Op::JumpIfZero
+                                                : Op::JumpIfNotZero;
+      const double short_value = e.bin_op == BinOp::And ? 0.0 : 1.0;
+      const int j0 = emit(decided, operand(*e.args[0]));
+      const int j1 = emit(decided, operand(*e.args[1]));
+      emit(Op::Move, dst, constant(1.0 - short_value));
       const int j2 = emit(Op::Jump);
-      prog_->code_[static_cast<std::size_t>(j0)].b = here();
-      prog_->code_[static_cast<std::size_t>(j1)].b = here();
-      emit(Op::Imm, dst, 0, 0, 0, 0.0);
-      prog_->code_[static_cast<std::size_t>(j2)].a = here();
+      at(j0).b = here();
+      at(j1).b = here();
+      emit(Op::Move, dst, constant(short_value));
+      at(j2).a = here();
       return;
     }
-    if (e.bin_op == BinOp::Or) {
-      const int t = alloc();
-      emit_expr(*e.args[0], t);
-      const int j0 = emit(Op::JumpIfNotZero, t);
-      emit_expr(*e.args[1], t);
-      const int j1 = emit(Op::JumpIfNotZero, t);
-      emit(Op::Imm, dst, 0, 0, 0, 0.0);
-      const int j2 = emit(Op::Jump);
-      prog_->code_[static_cast<std::size_t>(j0)].b = here();
-      prog_->code_[static_cast<std::size_t>(j1)].b = here();
-      emit(Op::Imm, dst, 0, 0, 0, 1.0);
-      prog_->code_[static_cast<std::size_t>(j2)].a = here();
-      return;
-    }
-    const int t1 = alloc();
-    const int t2 = alloc();
-    emit_expr(*e.args[0], t1);
-    emit_expr(*e.args[1], t2);
-    Op op = Op::Add;
-    switch (e.bin_op) {
-      case BinOp::Add: op = Op::Add; break;
-      case BinOp::Sub: op = Op::Sub; break;
-      case BinOp::Mul: op = Op::Mul; break;
-      case BinOp::Div: op = Op::Div; break;
-      case BinOp::Pow: op = Op::Pow; break;
-      case BinOp::Lt: op = Op::Lt; break;
-      case BinOp::Le: op = Op::Le; break;
-      case BinOp::Gt: op = Op::Gt; break;
-      case BinOp::Ge: op = Op::Ge; break;
-      case BinOp::Eq: op = Op::CmpEq; break;
-      case BinOp::Ne: op = Op::CmpNe; break;
-      default: break;  // And/Or handled above
-    }
-    emit(op, dst, t1, t2);
+    const int l = operand(*e.args[0]);
+    const int r = operand(*e.args[1]);
+    emit(binary_op(e.bin_op), dst, l, r);
   }
 
   // --- statements ---------------------------------------------------
 
-  void emit_stmt(const Stmt& s) {
+  /// `loop` is the loop that charges this statement's flops once per
+  /// iteration, or kNoLoop when the statement charges them itself.
+  void emit_stmt(const Stmt& s, int loop) {
     switch (s.kind) {
       case StmtKind::Assign:
-        emit_assign(s);
+        emit_assign(s, loop);
         return;
       case StmtKind::Do:
         emit_do(s);
         return;
       case StmtKind::If: {
-        const int rc = alloc();
-        emit_expr(*s.cond, rc);
-        const int jz = emit(Op::JumpIfZero, rc);
-        for (const auto& st : s.body) emit_stmt(*st);
+        // Branches run conditionally: they charge their own flops.
+        const int jz = emit(Op::JumpIfZero, operand(*s.cond));
+        for (const auto& st : s.body) emit_stmt(*st, kNoLoop);
         if (s.else_body.empty()) {
-          prog_->code_[static_cast<std::size_t>(jz)].b = here();
+          at(jz).b = here();
         } else {
           const int j = emit(Op::Jump);
-          prog_->code_[static_cast<std::size_t>(jz)].b = here();
-          for (const auto& st : s.else_body) emit_stmt(*st);
-          prog_->code_[static_cast<std::size_t>(j)].a = here();
+          at(jz).b = here();
+          for (const auto& st : s.else_body) emit_stmt(*st, kNoLoop);
+          at(j).a = here();
         }
         return;
       }
@@ -358,28 +388,36 @@ class Compiler {
     }
   }
 
-  void emit_assign(const Stmt& s) {
-    const Expr& lhs = *s.lhs;
-    const int rv = alloc();
-    emit_expr(*s.rhs, rv);
-    if (s.flops != 0.0) emit(Op::AddFlops, 0, 0, 0, 0, s.flops);
-    if (lhs.kind == ExprKind::VarRef) {
-      emit(Op::StoreScalar, rv, lhs.slot);
-      return;
+  void charge_flops(const Stmt& s, int loop) {
+    if (s.flops == 0.0) return;
+    if (loop == kNoLoop) {
+      emit(Op::AddFlops, constant(s.flops));
+    } else {
+      this->loop(loop).iter_flops += s.flops;
     }
+  }
+
+  int stmt_index(const Stmt& s) {
     prog_->stmts_.push_back(&s);
-    emit(Op::CheckFinite, rv,
-         static_cast<int>(prog_->stmts_.size()) - 1);
-    if (const auto it = walk_of_.find(&lhs); it != walk_of_.end()) {
-      emit(Op::StoreWalk, rv, lhs.slot, it->second);
+    return static_cast<int>(prog_->stmts_.size()) - 1;
+  }
+
+  void emit_assign(const Stmt& s, int loop) {
+    const Expr& lhs = *s.lhs;
+    if (lhs.kind == ExprKind::VarRef) {
+      emit_expr(*s.rhs, home(lhs.slot, true));
+      charge_flops(s, loop);
       return;
     }
-    const int n = static_cast<int>(lhs.args.size());
-    const int base = alloc(n);
-    for (int k = 0; k < n; ++k) {
-      emit_expr(*lhs.args[static_cast<std::size_t>(k)], base + k);
+    const int rv = operand(*s.rhs);
+    charge_flops(s, loop);
+    if (const auto it = walk_of_.find(&lhs); it != walk_of_.end()) {
+      emit(Op::StoreWalk, rv, it->second, stmt_index(s));
+      return;
     }
-    emit(Op::StoreElem, rv, lhs.slot, base, n);
+    emit(Op::CheckFinite, rv, stmt_index(s));
+    emit(Op::StoreElem, rv, lhs.slot, operand_list(lhs.args),
+         static_cast<int>(lhs.args.size()));
   }
 
   /// Registers strength-reducible array references of the loop's
@@ -389,7 +427,6 @@ class Compiler {
   void collect_walks(const Stmt& s, int loop_index,
                      const std::set<int>& banned,
                      std::vector<const Expr*>* refs) {
-    if (has_early_exit(s.body)) return;
     const auto consider = [&](const Expr& e) {
       if (e.slot < 0 || e.args.empty() || e.args.size() > 8) return;
       if (walk_of_.count(&e)) return;
@@ -410,8 +447,6 @@ class Compiler {
       walk_of_[&e] = static_cast<int>(prog_->walks_.size());
       refs->push_back(&e);
       prog_->walks_.push_back(std::move(desc));
-      prog_->loops_[static_cast<std::size_t>(loop_index)].walks.push_back(
-          walk_of_[&e]);
       ++stats_->walks_reduced;
     };
     for (const auto& st : s.body) {
@@ -422,45 +457,40 @@ class Compiler {
   }
 
   void emit_do(const Stmt& s) {
-    const int r_lo = alloc();
-    emit_expr(*s.lo, r_lo);
-    const int r_hi = alloc();
-    emit_expr(*s.hi, r_hi);
-    const int r_step = alloc();
-    if (s.step) {
-      emit_expr(*s.step, r_step);
-    } else {
-      emit(Op::Imm, r_step, 0, 0, 0, 1.0);
-    }
+    const int r_lo = operand(*s.lo);
+    const int r_hi = operand(*s.hi);
+    const int r_step = s.step ? operand(*s.step) : constant(1.0);
     const int li = static_cast<int>(prog_->loops_.size());
-    prog_->loops_.push_back(LoopDesc{s.slot, 0, 0, {}});
+    prog_->loops_.push_back(LoopDesc{home(s.slot, true)});
     emit(Op::LoopBegin, li, r_lo, r_hi, r_step);
 
     // Loop preheader: invariant subscript values, then the hoisted
-    // index setup of every walk. Skipped entirely on zero-trip loops.
-    std::set<int> banned;
-    banned.insert(s.slot);
-    collect_assigned(s.body, banned);
+    // setup of every walk. Skipped entirely on zero-trip loops. The
+    // loop's walks are registered before any nested loop's, so they
+    // form one contiguous range.
+    const bool straight = !has_early_exit(s.body);
+    loop(li).walk_begin = static_cast<int>(prog_->walks_.size());
     std::vector<const Expr*> refs;
-    collect_walks(s, li, banned, &refs);
-    for (std::size_t r = 0; r < refs.size(); ++r) {
-      const Expr& e = *refs[r];
-      const int w = walk_of_.at(&e);
-      auto& desc = prog_->walks_[static_cast<std::size_t>(w)];
-      for (std::size_t d = 0; d < desc.dims.size(); ++d) {
-        if (desc.dims[d].affine) continue;
-        const int reg = alloc();
-        emit_expr(*e.args[d], reg);
-        desc.dims[d].reg = reg;
+    if (straight) {
+      std::set<int> banned;
+      banned.insert(s.slot);
+      collect_assigned(s.body, banned);
+      collect_walks(s, li, banned, &refs);
+    }
+    loop(li).walk_end = static_cast<int>(prog_->walks_.size());
+    for (const Expr* e : refs) {
+      const int w = walk_of_.at(e);
+      auto& dims = prog_->walks_[static_cast<std::size_t>(w)].dims;
+      for (std::size_t d = 0; d < dims.size(); ++d) {
+        if (!dims[d].affine) dims[d].reg = operand(*e->args[d]);
       }
       emit(Op::WalkInit, w);
     }
 
-    auto& ld = prog_->loops_[static_cast<std::size_t>(li)];
-    ld.body_pc = here();
-    for (const auto& st : s.body) emit_stmt(*st);
+    loop(li).body_pc = here();
+    for (const auto& st : s.body) emit_stmt(*st, straight ? li : kNoLoop);
     emit(Op::LoopNext, li);
-    prog_->loops_[static_cast<std::size_t>(li)].exit_pc = here();
+    loop(li).exit_pc = here();
   }
 
   const ProgramImage* image_;
@@ -468,6 +498,9 @@ class Compiler {
   std::unique_ptr<Program> prog_;
   int nregs_ = 0;
   std::unordered_map<const Expr*, int> walk_of_;
+  std::unordered_map<std::uint64_t, int> const_reg_;  // value bits -> reg
+  std::unordered_map<int, int> home_reg_;             // scalar slot -> reg
+  std::set<int> written_slots_;                       // slots stored back
 };
 
 const Program* BytecodeEngine::compiled(const Stmt& s) {

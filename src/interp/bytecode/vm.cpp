@@ -20,41 +20,48 @@ namespace {
       ", " + std::to_string(hi) + "]");
 }
 
+[[noreturn]] void throw_non_finite(double v, const fortran::Stmt& s) {
+  // Same message as Interpreter::exec_assign.
+  throw autocfd::CompileError(
+      "non-finite value (" + std::to_string(v) + ") assigned to array '" +
+      s.lhs->name + "' at " + s.loc.str() + ": the computation diverged");
+}
+
 }  // namespace
 
 ExecSignal Program::execute(Env& env, double& flops) const {
-  if (regs_.size() < static_cast<std::size_t>(num_regs_)) {
-    regs_.resize(static_cast<std::size_t>(num_regs_), 0.0);
-  }
-  if (loop_state_.size() < loops_.size()) loop_state_.resize(loops_.size());
-  if (walk_state_.size() < walks_.size()) walk_state_.resize(walks_.size());
-
+  // Locals, not members: stores through `regs` or a walk pointer
+  // cannot alias them, so they stay in machine registers.
   double* const regs = regs_.data();
   double* const scalars = env.scalars.data();
   ArrayValue* const arrays = env.arrays.data();
   const Instr* const code = code_.data();
+  const int* const opnd = operands_.data();
+  const LoopDesc* const loops = loops_.data();
+  LoopState* const loop_state = loop_state_.data();
+  WalkState* const walk = walk_state_.data();
+  double fl = flops;
+
+  for (const Home& h : homes_) regs[h.reg] = scalars[h.slot];
+  const auto finish = [&](ExecSignal sig) {
+    for (const Home& h : written_) scalars[h.slot] = regs[h.reg];
+    flops = fl;
+    return sig;
+  };
 
   std::size_t pc = 0;
   for (;;) {
     const Instr& in = code[pc];
     switch (in.op) {
-      case Op::Imm:
-        regs[in.a] = in.imm;
-        ++pc;
-        break;
-      case Op::LoadScalar:
-        regs[in.a] = scalars[in.b];
-        ++pc;
-        break;
-      case Op::StoreScalar:
-        scalars[in.b] = regs[in.a];
+      case Op::Move:
+        regs[in.a] = regs[in.b];
         ++pc;
         break;
       case Op::LoadElem: {
         const ArrayValue& av = arrays[in.b];
         long long subs[8];
         for (int k = 0; k < in.d; ++k) {
-          subs[k] = static_cast<long long>(std::llround(regs[in.c + k]));
+          subs[k] = static_cast<long long>(std::llround(regs[opnd[in.c + k]]));
         }
         regs[in.a] = av.data[static_cast<std::size_t>(
             av.index({subs, static_cast<std::size_t>(in.d)}))];
@@ -65,7 +72,7 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         ArrayValue& av = arrays[in.b];
         long long subs[8];
         for (int k = 0; k < in.d; ++k) {
-          subs[k] = static_cast<long long>(std::llround(regs[in.c + k]));
+          subs[k] = static_cast<long long>(std::llround(regs[opnd[in.c + k]]));
         }
         av.data[static_cast<std::size_t>(
             av.index({subs, static_cast<std::size_t>(in.d)}))] = regs[in.a];
@@ -73,23 +80,22 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         break;
       }
       case Op::LoadWalk:
-        regs[in.a] = arrays[in.b].data[static_cast<std::size_t>(
-            walk_state_[static_cast<std::size_t>(in.c)].cur)];
+        regs[in.a] = *walk[in.b].p;
         ++pc;
         break;
-      case Op::StoreWalk:
-        arrays[in.b].data[static_cast<std::size_t>(
-            walk_state_[static_cast<std::size_t>(in.c)].cur)] = regs[in.a];
+      case Op::StoreWalk: {
+        const double v = regs[in.a];
+        if (!std::isfinite(v)) {
+          throw_non_finite(v, *stmts_[static_cast<std::size_t>(in.c)]);
+        }
+        *walk[in.b].p = v;
         ++pc;
         break;
+      }
       case Op::CheckFinite: {
         const double v = regs[in.a];
         if (!std::isfinite(v)) {
-          const fortran::Stmt& s = *stmts_[static_cast<std::size_t>(in.b)];
-          throw autocfd::CompileError(
-              "non-finite value (" + std::to_string(v) +
-              ") assigned to array '" + s.lhs->name + "' at " + s.loc.str() +
-              ": the computation diverged");
+          throw_non_finite(v, *stmts_[static_cast<std::size_t>(in.b)]);
         }
         ++pc;
         break;
@@ -146,14 +152,16 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         regs[in.a] = regs[in.b] != regs[in.c] ? 1.0 : 0.0;
         ++pc;
         break;
-      case Op::Intrin:
-        regs[in.a] = apply_intrinsic(static_cast<Intrinsic>(in.b),
-                                     regs + in.c,
+      case Op::Intrin: {
+        double args[8];
+        for (int k = 0; k < in.d; ++k) args[k] = regs[opnd[in.c + k]];
+        regs[in.a] = apply_intrinsic(static_cast<Intrinsic>(in.b), args,
                                      static_cast<std::size_t>(in.d));
         ++pc;
         break;
+      }
       case Op::AddFlops:
-        flops += in.imm;
+        fl += regs[in.a];
         ++pc;
         break;
       case Op::Jump:
@@ -166,7 +174,7 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         pc = regs[in.a] != 0.0 ? static_cast<std::size_t>(in.b) : pc + 1;
         break;
       case Op::LoopBegin: {
-        const LoopDesc& ld = loops_[static_cast<std::size_t>(in.a)];
+        const LoopDesc& ld = loops[in.a];
         const auto lo = static_cast<long long>(std::llround(regs[in.b]));
         const auto hi = static_cast<long long>(std::llround(regs[in.c]));
         const auto step = static_cast<long long>(std::llround(regs[in.d]));
@@ -183,35 +191,34 @@ ExecSignal Program::execute(Env& env, double& flops) const {
           pc = static_cast<std::size_t>(ld.exit_pc);
           break;
         }
-        loop_state_[static_cast<std::size_t>(in.a)] =
-            LoopState{lo, lo + (count - 1) * step, step};
-        scalars[ld.var_slot] = static_cast<double>(lo);
+        loop_state[in.a] = LoopState{lo, lo + (count - 1) * step, step};
+        regs[ld.var_reg] = static_cast<double>(lo);
         ++pc;
         break;
       }
       case Op::LoopNext: {
-        LoopState& ls = loop_state_[static_cast<std::size_t>(in.a)];
+        const LoopDesc& ld = loops[in.a];
+        LoopState& ls = loop_state[in.a];
+        fl += ld.iter_flops;
         if (ls.v == ls.last) {
           ++pc;  // falls through to exit_pc
           break;
         }
         ls.v += ls.step;
-        const LoopDesc& ld = loops_[static_cast<std::size_t>(in.a)];
-        scalars[ld.var_slot] = static_cast<double>(ls.v);
-        for (const int w : ld.walks) {
-          WalkState& ws = walk_state_[static_cast<std::size_t>(w)];
-          ws.cur += ws.stride;
+        regs[ld.var_reg] = static_cast<double>(ls.v);
+        for (int w = ld.walk_begin; w < ld.walk_end; ++w) {
+          walk[w].p += walk[w].stride;
         }
         pc = static_cast<std::size_t>(ld.body_pc);
         break;
       }
       case Op::WalkInit: {
         const WalkDesc& wd = walks_[static_cast<std::size_t>(in.a)];
-        const ArrayValue& av = arrays[wd.array_slot];
+        ArrayValue& av = arrays[wd.array_slot];
         if (static_cast<int>(wd.dims.size()) != av.rank()) {
           throw autocfd::CompileError("subscript rank mismatch");
         }
-        const LoopState& ls = loop_state_[static_cast<std::size_t>(wd.loop)];
+        const LoopState& ls = loop_state[wd.loop];
         long long idx = 0;
         long long stride = 0;
         long long dimstride = 1;
@@ -245,16 +252,16 @@ ExecSignal Program::execute(Env& env, double& flops) const {
           if (dim.affine) stride += ls.step * dimstride;
           dimstride *= av.extent[d];
         }
-        walk_state_[static_cast<std::size_t>(in.a)] = WalkState{idx, stride};
+        walk[in.a] = WalkState{av.data.data() + idx, stride};
         ++pc;
         break;
       }
       case Op::Ret:
-        return ExecSignal::Return;
+        return finish(ExecSignal::Return);
       case Op::StopProg:
-        return ExecSignal::Stop;
+        return finish(ExecSignal::Stop);
       case Op::Halt:
-        return ExecSignal::Normal;
+        return finish(ExecSignal::Normal);
     }
   }
 }

@@ -33,6 +33,11 @@ int intrinsic_opcode(std::string_view name) {
   return -1;
 }
 
+bool takes_two_args(Intrinsic op) {
+  return op == Intrinsic::Atan2 || op == Intrinsic::Mod ||
+         op == Intrinsic::Sign;
+}
+
 struct Resolver {
   ProgramImage* image;
   fortran::SourceFile* file;
@@ -103,6 +108,11 @@ struct Resolver {
         e.slot = intrinsic_opcode(e.name);
         if (e.slot < 0) {
           diags->error(e.loc, "unknown intrinsic '" + e.name + "'");
+        } else if (takes_two_args(static_cast<Intrinsic>(e.slot)) &&
+                   e.args.size() != 2) {
+          // apply_intrinsic reads args[1] of these unconditionally.
+          diags->error(e.loc,
+                       "intrinsic '" + e.name + "' takes 2 arguments");
         }
         break;
       default:

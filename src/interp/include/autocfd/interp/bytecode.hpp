@@ -4,14 +4,30 @@
 // and re-checks every array bound on every iteration of every field
 // loop — the dominant host-time cost of the whole simulated cluster.
 // This engine compiles each DO loop (and each standalone assignment)
-// once into a flat, register-based postfix program and caches it by
-// statement identity; execution is a branch-light dispatch loop over a
-// flat instruction vector.
+// once into a flat, register-based program and caches it by statement
+// identity; execution is a branch-light dispatch loop over a flat
+// instruction vector.
+//
+// Register file. A kernel's registers are of three kinds:
+//   * constant registers — one per distinct literal (or flop count)
+//     value, preset when the kernel is compiled; no instruction writes
+//     them, so no instruction materializes a literal at run time;
+//   * home registers — one per scalar slot the kernel touches,
+//     including DO induction variables. Every home is loaded from the
+//     environment at kernel entry, and the homes the kernel writes are
+//     stored back at Halt, Ret and StopProg. Inside the kernel scalars
+//     live only in their homes, so `acc = acc + 0.5*(u(i+1)-u(i-1))`
+//     is LoadWalk, LoadWalk, Sub, Mul, Add with the Add writing the
+//     home of `acc` directly. A kernel that throws skips the store
+//     back and leaves promoted scalars at their entry values; the run
+//     has already failed at that point;
+//   * temporaries — fresh per expression node, defined before use on
+//     every path.
 //
 // Strength reduction: inside a compiled loop, array references whose
 // subscripts are all either affine in that loop's induction variable
-// (v, v+c, v-c) or loop-invariant become "walks": the linear element
-// index is computed once at loop entry (with the per-dimension bounds
+// (v, v+c, v-c) or loop-invariant become "walks": a direct element
+// pointer computed once at loop entry (with the per-dimension bounds
 // check hoisted to cover the whole iteration range) and advanced by a
 // constant stride per iteration, so the inner loop touches contiguous
 // doubles with no rounding and no bounds test. Reduction is only
@@ -21,12 +37,22 @@
 // *successfully completing* run; a run that would fault inside the
 // loop faults at loop entry instead, with the same message format.
 //
+// Flop accounting. The same legality rule lets a loop charge the flops
+// of its body's unconditional assignments once per iteration
+// (LoopDesc::iter_flops, added by LoopNext) instead of one AddFlops per
+// assignment; assignments under IF, and every assignment of a loop
+// that can exit early, keep AddFlops. The totals are bit-identical to
+// the tree-walker's: every flop cost is an integer and every total
+// stays below 2^53, so each partial sum is exact in any order. The
+// virtual clock reads the count only at extension statements and
+// profiler unit boundaries, neither of which occurs inside a kernel.
+//
 // Everything else about the semantics — evaluation order, llround
 // subscript rounding, the pow fast path, short-circuit logicals, the
-// non-finite array-store guard, per-assignment flop accounting — is
-// shared with or copied exactly from the tree-walker, and the
-// differential tests assert bit-identical scalars, arrays and trace
-// event streams across both engines.
+// non-finite array-store guard, the value a DO variable holds after
+// its loop — is shared with or copied exactly from the tree-walker,
+// and the differential tests assert bit-identical scalars, arrays,
+// flops and trace event streams across both engines.
 #pragma once
 
 #include <cstdint>
@@ -39,43 +65,42 @@
 namespace autocfd::interp::bytecode {
 
 enum class Op : std::uint8_t {
-  Imm,          // r[a] = imm
-  LoadScalar,   // r[a] = scalars[b]
-  StoreScalar,  // scalars[b] = r[a]
-  LoadElem,     // r[a] = arrays[b][llround(r[c .. c+d-1])] (checked)
-  StoreElem,    // arrays[b][llround(r[c .. c+d-1])] = r[a] (checked)
-  LoadWalk,     // r[a] = arrays[b].data[walk[c].cur]
-  StoreWalk,    // arrays[b].data[walk[c].cur] = r[a]
+  Move,         // r[a] = r[b]
+  LoadElem,     // r[a] = arrays[b][llround(r[opnd[c .. c+d-1]])] (checked)
+  StoreElem,    // arrays[b][llround(r[opnd[c .. c+d-1]])] = r[a] (checked)
+  LoadWalk,     // r[a] = *walk[b].p
+  StoreWalk,    // *walk[b].p = r[a], after the non-finite check (stmt c)
   CheckFinite,  // throw CompileError unless r[a] is finite (stmt b)
   Neg,          // r[a] = -r[b]
   Not,          // r[a] = r[b] != 0 ? 0 : 1
   Add, Sub, Mul, Div, Pow,          // r[a] = r[b] op r[c]
   Lt, Le, Gt, Ge, CmpEq, CmpNe,     // r[a] = r[b] op r[c] ? 1 : 0
-  Intrin,       // r[a] = intrinsic b applied to r[c .. c+d-1]
-  AddFlops,     // flops += imm
+  Intrin,       // r[a] = intrinsic b applied to r[opnd[c .. c+d-1]]
+  AddFlops,     // flops += r[a] (a constant register)
   Jump,         // pc = a
   JumpIfZero,   // if (r[a] == 0) pc = b
   JumpIfNotZero,  // if (r[a] != 0) pc = b
   LoopBegin,    // enter loop a: lo=r[b], hi=r[c], step=r[d]
   LoopNext,     // advance loop a: jump to body or fall through to exit
   WalkInit,     // initialize walk a (hoisted bounds check)
-  Ret,          // halt with Signal::Return
-  StopProg,     // halt with Signal::Stop
-  Halt,         // normal end of program
+  Ret,          // store homes back, halt with Signal::Return
+  StopProg,     // store homes back, halt with Signal::Stop
+  Halt,         // store homes back, normal end of program
 };
 
 struct Instr {
   Op op = Op::Halt;
   int a = 0, b = 0, c = 0, d = 0;
-  double imm = 0.0;
 };
 
 /// Compile-time description of one DO loop in a kernel.
 struct LoopDesc {
-  int var_slot = -1;        // env scalar slot of the induction variable
+  int var_reg = -1;         // home register of the induction variable
   int body_pc = 0;          // first instruction of the loop body
   int exit_pc = 0;          // first instruction after the loop
-  std::vector<int> walks;   // walk indices advanced each iteration
+  int walk_begin = 0;       // walks [walk_begin, walk_end) advance
+  int walk_end = 0;         //   by one stride each iteration
+  double iter_flops = 0.0;  // flops charged by each LoopNext
 };
 
 /// One dimension of a strength-reduced array reference.
@@ -147,17 +172,27 @@ class Program {
     long long v = 0, last = 0, step = 1;
   };
   struct WalkState {
-    long long cur = 0, stride = 0;
+    double* p = nullptr;
+    long long stride = 0;
+  };
+  /// A scalar slot promoted to a register for the kernel's lifetime.
+  struct Home {
+    int reg = -1;
+    int slot = -1;
   };
 
   std::vector<Instr> code_;
   std::vector<LoopDesc> loops_;
   std::vector<WalkDesc> walks_;
-  /// Statements referenced by CheckFinite for error attribution.
+  /// Operand register lists of LoadElem, StoreElem and Intrin.
+  std::vector<int> operands_;
+  std::vector<Home> homes_;    // loaded at entry
+  std::vector<Home> written_;  // stored back at Halt/Ret/StopProg
+  /// Statements referenced by CheckFinite/StoreWalk for error attribution.
   std::vector<const fortran::Stmt*> stmts_;
-  int num_regs_ = 0;
 
-  // Reused scratch (single-threaded per owning interpreter).
+  // Reused scratch (single-threaded per owning interpreter). The
+  // constant registers of regs_ are preset by the compiler.
   mutable std::vector<double> regs_;
   mutable std::vector<LoopState> loop_state_;
   mutable std::vector<WalkState> walk_state_;

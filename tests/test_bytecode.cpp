@@ -1,5 +1,6 @@
 // Bytecode engine: kernel cache behavior, strength reduction, hoisted
-// bounds checks, and the contiguous halo-packing fast path.
+// bounds checks, register-resident scalars and per-iteration flops,
+// and the contiguous halo-packing fast path.
 //
 // Bit-identity of whole programs across engines is covered by the
 // randomized sweep in test_random_equivalence.cpp; this file tests the
@@ -223,6 +224,213 @@ TEST(Bytecode, ZeroStepReportsTheSameMessageAsTheTree) {
       EXPECT_STREQ(e.what(), "do loop with zero step");
     }
   }
+}
+
+TEST(Bytecode, OneArgumentBinaryIntrinsicsAreDiagnosedForBothEngines) {
+  for (const std::string name : {"mod", "atan2", "sign"}) {
+    const std::string source =
+        "program t\n"
+        "real x, y\n"
+        "x = 5.0\n"
+        "y = " + name + "(x)\n"
+        "end\n";
+    std::string msgs[2];
+    const EngineKind engines[] = {EngineKind::Tree, EngineKind::Bytecode};
+    for (int e = 0; e < 2; ++e) {
+      try {
+        (void)run_engine(source, engines[e]);
+        ADD_FAILURE() << name << "(x) must be rejected";
+      } catch (const CompileError& err) {
+        msgs[e] = err.what();
+      }
+    }
+    EXPECT_EQ(msgs[0], msgs[1]);
+    EXPECT_NE(msgs[0].find("intrinsic '" + name + "' takes 2 arguments"),
+              std::string::npos)
+        << msgs[0];
+  }
+}
+
+// --- Register-resident kernels ----------------------------------------------
+
+double scalar_of(const EngineRun& r, const std::string& unit,
+                 const std::string& name) {
+  const int slot = r.image.scalar_slot(unit, name);
+  EXPECT_GE(slot, 0) << unit << "::" << name;
+  return slot < 0 ? 0.0 : r.env.scalar(slot);
+}
+
+TEST(Bytecode, PromotedScalarsAreStoredBackOnNormalEnd) {
+  const auto r = run_both(
+      "program t\n"
+      "real a(5), s, x\n"
+      "integer i\n"
+      "s = 1.0\n"
+      "do i = 1, 5\n"
+      "  a(i) = i\n"
+      "  s = s + a(i)\n"
+      "  x = s * 2.0\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(scalar_of(*r, "t", "s"), 16.0);
+  EXPECT_EQ(scalar_of(*r, "t", "x"), 32.0);
+  EXPECT_EQ(scalar_of(*r, "t", "i"), 5.0);
+}
+
+TEST(Bytecode, PromotedScalarsAreStoredBackOnReturnInsideASubroutineLoop) {
+  // The subroutine's loop is one kernel that leaves through Ret on its
+  // fourth iteration; the caller must see the values written so far.
+  const auto r = run_both(
+      "program t\n"
+      "common /c/ s, k\n"
+      "real s\n"
+      "integer k\n"
+      "s = 0.0\n"
+      "call sub\n"
+      "s = s + 100.0\n"
+      "end\n"
+      "subroutine sub\n"
+      "common /c/ s, k\n"
+      "real s\n"
+      "integer k, i\n"
+      "do i = 1, 10\n"
+      "  s = s + i\n"
+      "  k = i\n"
+      "  if (i .ge. 4) then\n"
+      "    return\n"
+      "  end if\n"
+      "end do\n"
+      "end\n");
+  EXPECT_GE(r->stats.kernels_compiled, 1);
+  EXPECT_EQ(scalar_of(*r, "t", "s"), 110.0);
+  EXPECT_EQ(scalar_of(*r, "t", "k"), 4.0);
+  EXPECT_EQ(scalar_of(*r, "sub", "i"), 4.0);
+}
+
+TEST(Bytecode, PromotedScalarsAreStoredBackOnStop) {
+  const auto r = run_both(
+      "program t\n"
+      "real s\n"
+      "integer i\n"
+      "s = 0.0\n"
+      "do i = 1, 10\n"
+      "  s = s + 2.0\n"
+      "  if (i .eq. 3) then\n"
+      "    stop\n"
+      "  end if\n"
+      "end do\n"
+      "s = -1.0\n"
+      "end\n");
+  EXPECT_EQ(scalar_of(*r, "t", "s"), 6.0);
+  EXPECT_EQ(scalar_of(*r, "t", "i"), 3.0);
+}
+
+TEST(Bytecode, DoVariableAfterNormalAndZeroTripLoopsMatchesTheTree) {
+  // After a loop the DO variable holds its last iterated value; a
+  // zero-trip loop leaves it untouched.
+  const auto r = run_both(
+      "program t\n"
+      "integer i, j, k\n"
+      "real s\n"
+      "j = 7\n"
+      "do i = 1, 10, 3\n"
+      "  s = s + i\n"
+      "end do\n"
+      "do j = 5, 1\n"
+      "  s = s + 100.0\n"
+      "end do\n"
+      "do k = 10, 1, -4\n"
+      "  s = s + k\n"
+      "end do\n"
+      "end\n");
+  EXPECT_EQ(scalar_of(*r, "t", "i"), 10.0);
+  EXPECT_EQ(scalar_of(*r, "t", "j"), 7.0);
+  EXPECT_EQ(scalar_of(*r, "t", "k"), 2.0);
+  EXPECT_EQ(scalar_of(*r, "t", "s"), 22.0 + 18.0);
+}
+
+TEST(Bytecode, PerIterationFlopsMatchTheTreeBitForBit) {
+  // Guarded assignments, a nested zero-trip loop, nested loops, and a
+  // subroutine loop that returns early. run_both compares the flop
+  // totals with operator== on doubles.
+  const auto r = run_both(
+      "program t\n"
+      "parameter (n = 6)\n"
+      "common /c/ s, a\n"
+      "real a(n, n), s\n"
+      "integer i, j\n"
+      "s = 0.0\n"
+      "do j = 1, n\n"
+      "  do i = 1, n\n"
+      "    a(i, j) = 0.5 * i + j ** 2\n"
+      "    if (mod(i + j, 2.0) .eq. 0.0) then\n"
+      "      s = s + sqrt(a(i, j))\n"
+      "    else\n"
+      "      s = s - a(i, j) / 3.0\n"
+      "    end if\n"
+      "  end do\n"
+      "  do i = 1, 0\n"
+      "    s = s + 1.0\n"
+      "  end do\n"
+      "end do\n"
+      "call early\n"
+      "end\n"
+      "subroutine early\n"
+      "parameter (n = 6)\n"
+      "common /c/ s, a\n"
+      "real a(n, n), s\n"
+      "integer i, j\n"
+      "do j = 1, n\n"
+      "  do i = 1, n\n"
+      "    s = s + a(i, j) * 0.25\n"
+      "  end do\n"
+      "  if (s .gt. 40.0) then\n"
+      "    return\n"
+      "  end if\n"
+      "end do\n"
+      "end\n");
+  EXPECT_GT(r->flops, 0.0);
+  EXPECT_GE(r->stats.kernels_compiled, 2);
+}
+
+TEST(Bytecode, AccumulateStatementCompilesToFiveInstructions) {
+  // The aerofoil stage statement: constants and scalars live in
+  // registers and the loop charges its flops once per iteration, so
+  // the body is two walk loads and the three arithmetic operations.
+  auto file = fortran::parse_source(
+      "program t\n"
+      "real u(10, 4, 3), acc\n"
+      "integer i, j, k\n"
+      "j = 2\n"
+      "k = 2\n"
+      "do i = 2, 9\n"
+      "  acc = acc + 0.5 * (u(i + 1, j, k) - u(i - 1, j, k))\n"
+      "end do\n"
+      "end\n");
+  DiagnosticEngine diags;
+  const auto image = ProgramImage::build(file, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.dump();
+  const fortran::Stmt& loop = *file.units.at(0).body.at(2);
+  ASSERT_EQ(loop.kind, fortran::StmtKind::Do);
+
+  bytecode::BytecodeEngine engine(image);
+  const bytecode::Program* prog = engine.compiled(loop);
+  ASSERT_NE(prog, nullptr);
+  ASSERT_EQ(prog->loops().size(), 1u);
+  const auto& ld = prog->loops()[0];
+  const auto& code = prog->code();
+  ASSERT_EQ(code.at(static_cast<std::size_t>(ld.exit_pc - 1)).op,
+            bytecode::Op::LoopNext);
+  std::vector<bytecode::Op> body;
+  for (int pc = ld.body_pc; pc < ld.exit_pc - 1; ++pc) {
+    body.push_back(code[static_cast<std::size_t>(pc)].op);
+  }
+  using bytecode::Op;
+  EXPECT_LE(body.size(), 5u);
+  EXPECT_EQ(body, (std::vector<Op>{Op::LoadWalk, Op::LoadWalk, Op::Sub,
+                                   Op::Mul, Op::Add}));
+  EXPECT_EQ(ld.iter_flops, loop.body.at(0)->flops);
+  EXPECT_EQ(ld.walk_end - ld.walk_begin, 2);
 }
 
 // --- Contiguous halo packing ------------------------------------------------

@@ -92,6 +92,88 @@ GeneratedProgram generate(unsigned seed) {
   return {os.str(), arrays};
 }
 
+/// Sequential-only variant for the engine differential: scalar
+/// accumulators carried across iterations, if-guarded assignments in
+/// loop bodies, zero-trip loops, and a subroutine loop that returns
+/// early. Arrays and accumulators live in one common block so the
+/// subroutine can reach them.
+std::string generate_scalar_carried(unsigned seed) {
+  std::mt19937 rng(seed);
+  const auto pick = [&](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  const int n_arrays = pick(2, 3);
+  const auto arr = [&] { return "q" + std::to_string(pick(0, n_arrays - 1)); };
+  const auto acc = [&] { return "s" + std::to_string(pick(0, 2)); };
+  const auto coef = [&] { return "0." + std::to_string(pick(1, 9)); };
+
+  std::ostringstream decls;
+  decls << "parameter (n = 9, m = 7)\n";
+  for (int a = 0; a < n_arrays; ++a) decls << "real q" << a << "(n, m)\n";
+  decls << "real s0, s1, s2, cnt\ncommon /st/";
+  for (int a = 0; a < n_arrays; ++a) decls << " q" << a << ",";
+  decls << " s0, s1, s2, cnt\ninteger i, j\n";
+
+  std::ostringstream os;
+  os << "program rnd\n" << decls.str() << "integer it\n";
+  os << "do j = 1, m\n  do i = 1, n\n";
+  for (int a = 0; a < n_arrays; ++a) {
+    os << "    q" << a << "(i, j) = 0.01 * " << (a + 1) << " * (i + 2 * j)\n";
+  }
+  os << "  end do\nend do\n";
+  os << "do it = 1, 3\n";
+  const int n_phases = pick(3, 6);
+  for (int p = 0; p < n_phases; ++p) {
+    switch (pick(0, 2)) {
+      case 0: {  // loop-carried accumulator feeding an array update
+        const auto s = acc();
+        const auto dst = arr();
+        const int hi = pick(0, 3) == 0 ? 1 : 8;  // sometimes zero-trip
+        os << "  do j = 2, m - 1\n    do i = 2, " << hi << "\n"
+           << "      " << s << " = " << s << " * 0.5 + " << coef() << " * "
+           << arr() << "(i" << (pick(0, 1) == 0 ? " + 1" : " - 1") << ", j)\n"
+           << "      " << dst << "(i, j) = " << dst << "(i, j) + 0.01 * " << s
+           << "\n    end do\n  end do\n";
+        break;
+      }
+      case 1: {  // if-guarded assignments in the body
+        const auto src = arr();
+        const auto dst = arr();
+        const auto s = acc();
+        os << "  do j = 1, m\n    do i = 1, n\n"
+           << "      if (" << src << "(i, j) .gt. 0." << pick(5, 30)
+           << ") then\n"
+           << "        " << dst << "(i, j) = " << dst << "(i, j) - " << coef()
+           << " * " << src << "(i, j) * 0.1\n"
+           << "        " << s << " = " << s << " + 1.0\n"
+           << "      else\n"
+           << "        " << s << " = " << s << " - " << src
+           << "(i, j) * 0.25\n"
+           << "      end if\n"
+           << "    end do\n  end do\n";
+        break;
+      }
+      default:
+        os << "  call scan\n";
+        break;
+    }
+  }
+  os << "end do\nend\n";
+
+  // A two-deep nest that leaves through RETURN once the running sum
+  // passes a seed-dependent limit (or runs to completion).
+  os << "subroutine scan\n" << decls.str();
+  os << "do j = 1, m\n  do i = 1, n\n"
+     << "    cnt = cnt + 1.0\n"
+     << "    s2 = s2 + " << arr() << "(i, j)\n"
+     << "    if (s2 .gt. " << pick(1, 40) << ".0) then\n"
+     << "      return\n"
+     << "    end if\n"
+     << "  end do\nend do\n"
+     << "return\nend\n";
+  return os.str();
+}
+
 class RandomEquivalence : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RandomEquivalence, SpmdMatchesSequentialBitwise) {
@@ -165,16 +247,12 @@ void expect_traces_identical(const trace::Trace& a, const trace::Trace& b) {
 /// under a timing-only fault plan.
 class EngineEquivalence : public ::testing::TestWithParam<unsigned> {};
 
-TEST_P(EngineEquivalence, BytecodeMatchesTreeBitwise) {
-  const auto prog = generate(GetParam());
-  SCOPED_TRACE(prog.source);
-  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
-
-  // Sequential: the complete final environment must agree bitwise.
-  const auto tree = interp::run_sequential(prog.source,
-                                           interp::EngineKind::Tree);
-  const auto byte_ = interp::run_sequential(prog.source,
-                                            interp::EngineKind::Bytecode);
+/// Sequential runs on both engines: the complete final environment and
+/// the flop count must agree bitwise.
+void expect_sequential_engines_identical(const std::string& source) {
+  const auto tree = interp::run_sequential(source, interp::EngineKind::Tree);
+  const auto byte_ =
+      interp::run_sequential(source, interp::EngineKind::Bytecode);
   EXPECT_EQ(tree->flops, byte_->flops);
   ASSERT_EQ(tree->env.scalars.size(), byte_->env.scalars.size());
   for (std::size_t i = 0; i < tree->env.scalars.size(); ++i) {
@@ -189,6 +267,14 @@ TEST_P(EngineEquivalence, BytecodeMatchesTreeBitwise) {
       ASSERT_EQ(ta[i], ba[i]) << "array " << a << "[" << i << "]";
     }
   }
+}
+
+TEST_P(EngineEquivalence, BytecodeMatchesTreeBitwise) {
+  const auto prog = generate(GetParam());
+  SCOPED_TRACE(prog.source);
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+
+  expect_sequential_engines_identical(prog.source);
 
   // SPMD: gathered arrays and the full trace event stream must agree,
   // clean and under a timing-only chaos plan (which must not change
@@ -233,6 +319,12 @@ TEST_P(EngineEquivalence, BytecodeMatchesTreeBitwise) {
     }
     expect_traces_identical(traces[0], traces[1]);
   }
+}
+
+TEST_P(EngineEquivalence, ScalarCarriedLoopsMatchTreeBitwise) {
+  const auto source = generate_scalar_carried(GetParam());
+  SCOPED_TRACE(source);
+  expect_sequential_engines_identical(source);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineEquivalence,
