@@ -75,14 +75,17 @@ void expect_near_rel(double a, double b, double rel) {
 
 // ------------------------------------------------------- completeness
 
+// std::string parameters, not const char*: gtest prints a char pointer with
+// its address, which would put a load-address-dependent value into the
+// test's name.
 class AttributionCompleteness
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
 };
 
 TEST_P(AttributionCompleteness, AttributedComputeEqualsRankClocks) {
   const auto [app, partition] = GetParam();
   const std::string source =
-      std::string(app) == "aerofoil" ? aerofoil_small() : sprayer_small();
+      app == "aerofoil" ? aerofoil_small() : sprayer_small();
   auto run = run_profiled(source, partition, interp::EngineKind::Bytecode);
   const int nranks = run.program->meta.spec.num_tasks();
   ASSERT_EQ(run.result.profiles.size(), static_cast<std::size_t>(nranks));
@@ -119,8 +122,10 @@ TEST_P(AttributionCompleteness, AttributedComputeEqualsRankClocks) {
 
 INSTANTIATE_TEST_SUITE_P(
     CaseStudies, AttributionCompleteness,
-    ::testing::Values(std::make_pair("aerofoil", "2x2x1"),
-                      std::make_pair("sprayer", "2x2")));
+    ::testing::Values(std::make_pair(std::string("aerofoil"),
+                                     std::string("2x2x1")),
+                      std::make_pair(std::string("sprayer"),
+                                     std::string("2x2"))));
 
 TEST(StmtProfile, DisabledRunCollectsNothing) {
   const std::string source = sprayer_small();
