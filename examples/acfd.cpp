@@ -3,7 +3,8 @@
 //   acfd input.f [-o output.f] [--partition 4x1x1 | --nprocs 6]
 //        [--strategy min|pairwise|none] [--run] [--analyze]
 //        [--report[=json|text|html]] [--report-out r.json]
-//        [--explain[=text|json]] [--profile] [--metrics-out m.json]
+//        [--trace=t.json] [--explain[=text|json]] [--profile]
+//        [--metrics-out m.json]
 //        [--faults=SPEC] [--recovery[=SPEC]] [--watchdog=SEC]
 //        [--plan-from=report.json --plan-out=plan.json] [--plan=plan.json]
 //        [--sweep=spec.json --sweep-out=scaling.json [--sweep-format=FMT]]
@@ -32,13 +33,19 @@
 //                      cost, the communication matrix and per-rank
 //                      timelines. FMT: text (default) | json | html.
 //   --report-out F     write the run report to F instead of stdout.
+//   --trace F          execute (implies --run) with every cluster event
+//                      recorded: print the trace report (per-rank time
+//                      decomposition, critical path, checker verdict)
+//                      and write Chrome trace_event JSON to F — open it
+//                      in chrome://tracing or https://ui.perfetto.dev.
 //
 // Profile-guided planning (the two-run workflow):
 //   --plan-from F      read a prior run's --report=json file, search
 //                      partition shapes x combine strategies against the
 //                      measured profile and comm matrix (biased by
-//                      --faults when given), and emit a PlanFile; no
-//                      compile or run happens in this mode.
+//                      --faults when given), emit a PlanFile and print
+//                      its scored candidate table; no compile or run
+//                      happens in this mode.
 //   --plan-out F       write the PlanFile to F (default: stdout).
 //   --plan F           apply a PlanFile: its partition and combining
 //                      strategy override the static heuristics, and
@@ -56,7 +63,7 @@
 //                      scored at every scale point.
 //   --sweep-out F      write the ScalingReport to F (default stdout);
 //                      format from the extension unless --sweep-format.
-//   --sweep-format FMT json | text (default) | html.
+//   --sweep-format FMT json | text (default).
 //
 // Telemetry ledger (the persistent memory between invocations):
 //   --ledger F         append one schema-versioned RunRecord per
@@ -68,7 +75,7 @@
 //   --history[=FMT]    render trend tables over the ledger named by
 //                      --ledger and any sidecars under --history-bench;
 //                      needs no input program. FMT: text (default) |
-//                      json | html (a self-contained dashboard).
+//                      json.
 //   --history-out F    write the history view to F instead of stdout.
 //   --history-bench D  also fold every BENCH_*.json in directory D
 //                      into the history as "bench" records.
@@ -90,6 +97,7 @@
 #include "autocfd/prof/report.hpp"
 #include "autocfd/support/output_paths.hpp"
 #include "autocfd/sweep/sweep.hpp"
+#include "autocfd/trace/export.hpp"
 #include "autocfd/trace/metrics_bridge.hpp"
 #include "autocfd/trace/recorder.hpp"
 
@@ -113,6 +121,8 @@ void usage() {
       "                     unified run report; FMT: text (default) | json\n"
       "                     | html\n"
       "  --report-out F     write the run report to F instead of stdout\n"
+      "  --trace=F          run (implies --run), print the trace report and\n"
+      "                     write Chrome trace_event JSON to F\n"
       "  --explain[=FMT]    print decision provenance; FMT: text | json\n"
       "                     (json: the log goes to stdout alone, human\n"
       "                     output to stderr)\n"
@@ -136,12 +146,12 @@ void usage() {
       "                     partitions x engines) and emit a ScalingReport\n"
       "  --sweep-out F      write the ScalingReport to F (default: stdout;\n"
       "                     format from the extension)\n"
-      "  --sweep-format FMT json | text (default) | html\n"
+      "  --sweep-format FMT json | text (default)\n"
       "  --ledger F         append one RunRecord per execution (or per\n"
       "                     sweep cell) to the JSONL ledger F\n"
       "  --history[=FMT]    render run-history trends from --ledger and\n"
       "                     --history-bench; no input program needed.\n"
-      "                     FMT: text (default) | json | html\n"
+      "                     FMT: text (default) | json\n"
       "  --history-out F    write the history view to F\n"
       "  --history-bench D  fold BENCH_*.json sidecars in D into the\n"
       "                     history\n");
@@ -164,6 +174,7 @@ int main(int argc, char** argv) {
   std::string partition_arg;
   std::string metrics_path;
   std::string report_path;
+  std::string trace_path;
   bool want_report = false;
   auto report_format = prof::ReportFormat::Text;
   int nprocs = 0;
@@ -174,8 +185,8 @@ int main(int argc, char** argv) {
   std::string recovery_spec;
   bool recovery_on = false;
   std::string plan_from_path, plan_out_path, plan_path;
-  std::string sweep_spec_path, sweep_out_path, sweep_format_arg;
-  bool sweep_format_set = false;
+  std::string sweep_spec_path, sweep_out_path;
+  std::optional<sweep::SweepFormat> sweep_format;
   double watchdog = mp::Cluster::kDefaultWatchdog;
   auto engine = interp::EngineKind::Bytecode;
   std::string ledger_path;
@@ -226,6 +237,10 @@ int main(int argc, char** argv) {
       report_format = *parsed;
     } else if (arg == "--report-out") {
       report_path = next();
+    } else if (arg.rfind("--trace=", 0) == 0) {
+      trace_path = arg.substr(8);
+    } else if (arg == "--trace") {
+      trace_path = next();
     } else if (arg == "--explain" || arg == "--explain=text") {
       explain = true;
     } else if (arg == "--explain=json") {
@@ -263,12 +278,17 @@ int main(int argc, char** argv) {
       sweep_out_path = arg.substr(12);
     } else if (arg == "--sweep-out") {
       sweep_out_path = next();
-    } else if (arg.rfind("--sweep-format=", 0) == 0) {
-      sweep_format_arg = arg.substr(15);
-      sweep_format_set = true;
-    } else if (arg == "--sweep-format") {
-      sweep_format_arg = next();
-      sweep_format_set = true;
+    } else if (arg == "--sweep-format" ||
+               arg.rfind("--sweep-format=", 0) == 0) {
+      const std::string fmt = arg.size() > 14 ? arg.substr(15) : next();
+      sweep_format = sweep::parse_sweep_format(fmt);
+      if (!sweep_format) {
+        std::fprintf(stderr,
+                     "acfd: unknown sweep format '%s' (expected json or "
+                     "text)\n",
+                     fmt.c_str());
+        return 2;
+      }
     } else if (arg.rfind("--ledger=", 0) == 0) {
       ledger_path = arg.substr(9);
     } else if (arg == "--ledger") {
@@ -279,8 +299,8 @@ int main(int argc, char** argv) {
       const auto parsed = ledger::parse_history_format(fmt);
       if (!parsed) {
         std::fprintf(stderr,
-                     "acfd: unknown history format '%s' (expected text, "
-                     "json or html)\n",
+                     "acfd: unknown history format '%s' (expected text "
+                     "or json)\n",
                      fmt.c_str());
         return 2;
       }
@@ -324,7 +344,22 @@ int main(int argc, char** argv) {
     else if (ext == "html" || ext == "htm")
       report_format = prof::ReportFormat::Html;
   }
-  if (want_report) run = true;  // a run report needs a run
+  if (want_report || !trace_path.empty()) run = true;  // both need a run
+  if (!sweep_format && !sweep_out_path.empty()) {
+    // --sweep-out alone picks the format from the file extension.
+    const auto dot = sweep_out_path.rfind('.');
+    const std::string ext =
+        dot == std::string::npos ? "" : sweep_out_path.substr(dot + 1);
+    if (ext == "html" || ext == "htm") {
+      std::fprintf(stderr,
+                   "acfd: --sweep-out '%s': no html sweep view (formats: "
+                   "json or text)\n",
+                   sweep_out_path.c_str());
+      return 2;
+    }
+    sweep_format = ext == "json" ? sweep::SweepFormat::Json
+                                 : sweep::SweepFormat::Text;
+  }
   if (want_report && explain_json && report_path.empty()) {
     std::fprintf(stderr,
                  "acfd: --report and --explain=json both write stdout; "
@@ -458,6 +493,7 @@ int main(int argc, char** argv) {
     if (!report_path.empty()) {
       outputs.push_back({"--report-out", report_path});
     }
+    if (!trace_path.empty()) outputs.push_back({"--trace", trace_path});
     if (!plan_out_path.empty()) {
       outputs.push_back({"--plan-out", plan_out_path});
     }
@@ -497,25 +533,7 @@ int main(int argc, char** argv) {
       if (spec->title.empty()) {
         spec->title = std::filesystem::path(input_path).stem().string();
       }
-      auto format = sweep::SweepFormat::Text;
-      if (sweep_format_set) {
-        const auto parsed = sweep::parse_sweep_format(sweep_format_arg);
-        if (!parsed) {
-          std::fprintf(stderr,
-                       "acfd: unknown sweep format '%s' (expected json, "
-                       "text or html)\n",
-                       sweep_format_arg.c_str());
-          return 2;
-        }
-        format = *parsed;
-      } else if (!sweep_out_path.empty()) {
-        const auto dot = sweep_out_path.rfind('.');
-        const std::string ext =
-            dot == std::string::npos ? "" : sweep_out_path.substr(dot + 1);
-        if (ext == "json") format = sweep::SweepFormat::Json;
-        else if (ext == "html" || ext == "htm")
-          format = sweep::SweepFormat::Html;
-      }
+      const auto format = sweep_format.value_or(sweep::SweepFormat::Text);
       sweep::SweepOptions sopts;
       sopts.watchdog = watchdog;
       sopts.ledger_path = ledger_path;
@@ -582,6 +600,9 @@ int main(int argc, char** argv) {
         std::fprintf(chat, "acfd: wrote %s\n", plan_out_path.c_str());
       }
       std::fprintf(chat, "acfd: plan: %s\n", plan_file.rationale.c_str());
+      std::ostringstream table;
+      plan_file.write_text(table);
+      std::fprintf(chat, "\n%s", table.str().c_str());
       return 0;
     }
 
@@ -638,7 +659,8 @@ int main(int argc, char** argv) {
       const auto machine = mp::MachineConfig::pentium_ethernet_1999();
       trace::TraceRecorder recorder;
       codegen::SpmdRunOptions run_opts;
-      run_opts.sink = metrics_path.empty() && !want_report && !want_ledger
+      run_opts.sink = metrics_path.empty() && !want_report &&
+                              !want_ledger && trace_path.empty()
                           ? nullptr
                           : &recorder;
       run_opts.faults = faults_spec.empty() ? nullptr : &injector;
@@ -737,6 +759,20 @@ int main(int argc, char** argv) {
           }
           std::fprintf(chat, "acfd: wrote %s\n", report_path.c_str());
         }
+      }
+      if (!trace_path.empty()) {
+        const auto* tags = &program->meta.tags;
+        std::fprintf(chat, "\n%s\n",
+                     trace::text_report(recorder.trace(), tags).c_str());
+        std::ofstream tos(trace_path);
+        trace::write_chrome_trace(tos, recorder.trace(), tags);
+        tos.flush();
+        if (!tos) {
+          std::fprintf(stderr, "acfd: cannot write trace file '%s'\n",
+                       trace_path.c_str());
+          return 1;
+        }
+        std::fprintf(chat, "acfd: wrote %s\n", trace_path.c_str());
       }
       if (max_diff != 0.0) {
         std::fprintf(stderr, "acfd: VALIDATION FAILED\n");

@@ -15,7 +15,6 @@ namespace autocfd::ledger {
 std::optional<HistoryFormat> parse_history_format(std::string_view name) {
   if (name.empty() || name == "text") return HistoryFormat::Text;
   if (name == "json") return HistoryFormat::Json;
-  if (name == "html") return HistoryFormat::Html;
   return std::nullopt;
 }
 
@@ -76,7 +75,7 @@ std::vector<GroupView> build_groups(const std::vector<RunRecord>& records) {
   return out;
 }
 
-/// The metrics the human views lead with when all_metrics is off: the
+/// The metrics the text view leads with when all_metrics is off: the
 /// gating keys plus the headline cost accounts.
 bool is_headline(const std::string& metric) {
   if (metric_direction(metric) != Direction::Informational) return true;
@@ -161,65 +160,6 @@ void write_json(const std::vector<GroupView>& groups, std::ostream& os) {
   os << "\n  ]\n}\n";
 }
 
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-void write_html(const std::vector<GroupView>& groups, std::ostream& os,
-                const HistoryOptions& options) {
-  os << "<!DOCTYPE html>\n<html>\n<head>\n<meta charset=\"utf-8\">\n"
-        "<title>acfd run history</title>\n<style>\n"
-        "body { font-family: sans-serif; margin: 2em; color: #222; }\n"
-        "h2 { border-bottom: 1px solid #ccc; padding-bottom: 0.2em; }\n"
-        "table { border-collapse: collapse; margin: 0.6em 0 1.6em; }\n"
-        "th, td { padding: 0.25em 0.9em; text-align: right; }\n"
-        "th { background: #f0f0f0; }\n"
-        "td.metric, th.metric { text-align: left; font-family: monospace; }\n"
-        "td.spark { font-family: monospace; white-space: pre;"
-        " letter-spacing: 0.05em; background: #fafafa; }\n"
-        "tr:nth-child(even) { background: #f7f7fb; }\n"
-        ".meta { color: #777; font-size: 0.9em; }\n"
-        "</style>\n</head>\n<body>\n<h1>acfd run history</h1>\n";
-  if (groups.empty()) {
-    os << "<p>No records.</p>\n";
-  }
-  for (const auto& group : groups) {
-    const auto& head = *group.newest;
-    os << "<h2>" << html_escape(head.kind) << " &middot; "
-       << html_escape(head.input) << "</h2>\n<p class=\"meta\">engine "
-       << html_escape(head.engine.empty() ? "-" : head.engine)
-       << " &middot; " << html_escape(head.build_type) << " &middot; "
-       << html_escape(head.machine) << " &middot; " << group.records.size()
-       << " record(s)</p>\n<table>\n<tr><th class=\"metric\">metric</th>"
-          "<th>first</th><th>last</th><th>min</th><th>max</th>"
-          "<th>trend</th></tr>\n";
-    for (const auto& [metric, values] : group.series) {
-      if (!options.all_metrics && !is_headline(metric)) continue;
-      const auto s = stats_of(values);
-      char cells[160];
-      std::snprintf(cells, sizeof cells,
-                    "<td>%.5g</td><td>%.5g</td><td>%.5g</td><td>%.5g</td>",
-                    s.first, s.last, s.lo, s.hi);
-      os << "<tr><td class=\"metric\">" << html_escape(metric) << "</td>"
-         << cells << "<td class=\"spark\">"
-         << html_escape(sparkline(values, options.spark_width))
-         << "</td></tr>\n";
-    }
-    os << "</table>\n";
-  }
-  os << "</body>\n</html>\n";
-}
-
 }  // namespace
 
 void write_history(const std::vector<RunRecord>& records,
@@ -229,7 +169,6 @@ void write_history(const std::vector<RunRecord>& records,
   switch (format) {
     case HistoryFormat::Text: write_text(groups, os, options); break;
     case HistoryFormat::Json: write_json(groups, os); break;
-    case HistoryFormat::Html: write_html(groups, os, options); break;
   }
 }
 

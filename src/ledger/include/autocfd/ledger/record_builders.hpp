@@ -44,7 +44,7 @@ struct RunMeta {
 /// The sidecar's meta.build_type / meta.engine / meta.machine /
 /// meta.seed keys are lifted into the record's identity fields; every
 /// other key is preserved verbatim, so the sentinel gates exactly the
-/// keys bench_compare would.
+/// keys of the sidecar itself.
 [[nodiscard]] RunRecord record_from_sidecar(
     const std::string& input, const std::map<std::string, double>& numbers,
     const std::map<std::string, std::string>& strings);

@@ -5,9 +5,13 @@
 // baseline — median and MAD over the last K earlier records — for each
 // gating metric of the group's newest record, and flags the newest
 // value when it falls outside the direction-aware tolerance. Gating
-// metrics follow tools/bench_compare's key conventions: keys containing
+// metrics follow the bench sidecars' key conventions: keys containing
 // "elapsed" are lower-better, keys containing "speedup" or "identical"
 // are higher-better, everything else is informational and never gates.
+//
+// A one-record window (window = 1, min_history = 1) is the plain
+// baseline-vs-current check: the band is threshold * |baseline|, so a
+// lower-better metric regresses when current > baseline * (1 + T).
 //
 // The median+MAD baseline makes the gate robust to the odd outlier in
 // history (one slow CI run does not poison the baseline) while an
@@ -17,6 +21,7 @@
 
 #include <cstddef>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -26,8 +31,8 @@ namespace autocfd::ledger {
 
 enum class Direction { LowerBetter, HigherBetter, Informational };
 
-/// bench_compare's key conventions: "elapsed" lower-better, "speedup"
-/// and "identical" higher-better, everything else informational.
+/// The sidecar key conventions: "elapsed" lower-better, "speedup" and
+/// "identical" higher-better, everything else informational.
 [[nodiscard]] Direction metric_direction(const std::string& key);
 
 struct SentinelOptions {
@@ -74,6 +79,15 @@ struct SentinelReport {
 /// before it are its baseline.
 [[nodiscard]] SentinelReport run_sentinel(
     const std::vector<RunRecord>& records, const SentinelOptions& options = {});
+
+/// Sidecars gated side by side (a baseline and a current run of the
+/// same bench) must share one identity: a record whose build_type,
+/// engine or machine differs from an earlier record of the same
+/// kind and input would land in its own group and skip the gate.
+/// Returns a one-line diagnostic naming the differing fields, or
+/// nullopt when every (kind, input) has a single identity.
+[[nodiscard]] std::optional<std::string> identity_conflict(
+    const std::vector<RunRecord>& records);
 
 /// Human-readable verdict table (one line per checked metric, loud
 /// REGRESSED lines first) and deterministic JSON for tooling.

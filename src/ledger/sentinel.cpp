@@ -118,6 +118,31 @@ SentinelReport run_sentinel(const std::vector<RunRecord>& records,
   return report;
 }
 
+std::optional<std::string> identity_conflict(
+    const std::vector<RunRecord>& records) {
+  std::map<std::string, const RunRecord*> first;
+  for (const auto& rec : records) {
+    const auto [it, fresh] = first.emplace(rec.kind + "|" + rec.input, &rec);
+    if (fresh) continue;
+    const RunRecord& base = *it->second;
+    std::string fields;
+    const auto compare = [&](const char* name, const std::string& a,
+                             const std::string& b) {
+      if (a == b) return;
+      fields += (fields.empty() ? "" : ", ") + std::string(name) + " '" + a +
+                "' vs '" + b + "'";
+    };
+    compare("build_type", base.build_type, rec.build_type);
+    compare("engine", base.engine, rec.engine);
+    compare("machine", base.machine, rec.machine);
+    if (!fields.empty()) {
+      return rec.kind + " '" + rec.input +
+             "' records describe different configurations: " + fields;
+    }
+  }
+  return std::nullopt;
+}
+
 void write_sentinel_text(const SentinelReport& report, std::ostream& os) {
   const auto n_regressed = report.regressions().size();
   for (const auto& f : report.findings) {

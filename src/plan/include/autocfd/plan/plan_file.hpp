@@ -65,6 +65,10 @@ struct PlanFile {
   /// Deterministic JSON, byte-identical across write/read/write.
   void write_json(std::ostream& os) const;
   [[nodiscard]] std::string json() const;
+  /// Terminal view: the scored candidate table in file order (best
+  /// first), predicted time with its decomposition, the chosen and
+  /// static rows marked, rejected candidates with their reason.
+  void write_text(std::ostream& os) const;
 
   /// Parses PlanFile JSON; nullopt + diagnostic on malformed input or
   /// a schema_version mismatch.

@@ -1,5 +1,6 @@
 #include "autocfd/plan/plan_file.hpp"
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 
@@ -73,6 +74,31 @@ std::string PlanFile::json() const {
   std::ostringstream os;
   write_json(os);
   return os.str();
+}
+
+void PlanFile::write_text(std::ostream& os) const {
+  char line[192];
+  std::snprintf(line, sizeof line,
+                "%-10s %-9s %10s %10s %10s %10s %10s %6s %5s\n", "partition",
+                "strategy", "predicted", "compute", "comm", "pipeline",
+                "fault", "syncs", "pipes");
+  os << line;
+  for (const auto& c : candidates) {
+    if (!c.feasible) {
+      std::snprintf(line, sizeof line, "%-10s %-9s %10s  rejected: ",
+                    c.partition.c_str(), c.strategy.c_str(), "-");
+      os << line << c.note << "\n";
+      continue;
+    }
+    std::snprintf(line, sizeof line,
+                  "%-10s %-9s %9.4fs %9.4fs %9.4fs %9.4fs %9.4fs %6d %5d%s\n",
+                  c.partition.c_str(), c.strategy.c_str(), c.predicted_s,
+                  c.compute_s, c.comm_s, c.pipeline_s, c.fault_s,
+                  c.syncs_after, c.pipelined_loops,
+                  c.chosen ? "  <-- chosen"
+                           : (c.is_static ? "  (static)" : ""));
+    os << line;
+  }
 }
 
 std::optional<PlanFile> PlanFile::parse(std::string_view text,

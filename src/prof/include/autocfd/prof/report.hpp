@@ -3,8 +3,8 @@
 // decisions cost at runtime (source-attributed profile, communication
 // matrix, per-rank time decomposition, per-site communication cost).
 // Deterministic JSON for tools/CI, plus text and self-contained HTML
-// views for humans. Emitted by `acfd --report[=json|text|html]` and
-// consumed by examples/profile_viewer.
+// views for humans (the repository's one HTML renderer). Emitted by
+// `acfd --report[=json|text|html]`.
 #pragma once
 
 #include <optional>

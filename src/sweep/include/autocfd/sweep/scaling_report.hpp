@@ -12,8 +12,8 @@
 //
 // Serialized as versioned, deterministic JSON (fixed key order,
 // json_number formatting) so that write -> read -> write is
-// byte-identical and CI can diff sweeps, plus text and HTML renderings
-// with ASCII efficiency curves. Read back via plan::json_reader, the
+// byte-identical and CI can diff sweeps, plus a text rendering with
+// ASCII efficiency curves. Read back via plan::json_reader, the
 // same reader the planner uses for run reports.
 #pragma once
 
@@ -158,8 +158,6 @@ struct ScalingReport {
   /// Terminal view with ASCII speedup/efficiency curves and the
   /// site-share trend table.
   void write_text(std::ostream& os) const;
-  /// Self-contained single-file HTML (inline CSS, no scripts).
-  void write_html(std::ostream& os) const;
 
   /// Parses ScalingReport JSON; nullopt + diagnostic on malformed
   /// input or a schema_version mismatch.
@@ -170,9 +168,9 @@ struct ScalingReport {
       const std::string& path, std::string* error);
 };
 
-enum class SweepFormat { Json, Text, Html };
+enum class SweepFormat { Json, Text };
 
-/// Parses "json" / "text" / "html"; empty selects Text.
+/// Parses "json" / "text"; empty selects Text.
 [[nodiscard]] std::optional<SweepFormat> parse_sweep_format(
     std::string_view name);
 

@@ -365,121 +365,9 @@ void ScalingReport::write_text(std::ostream& os) const {
   }
 }
 
-// --------------------------------------------------------------- html
-
-namespace {
-
-std::string html_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char ch : s) {
-    switch (ch) {
-      case '&': out += "&amp;"; break;
-      case '<': out += "&lt;"; break;
-      case '>': out += "&gt;"; break;
-      case '"': out += "&quot;"; break;
-      default: out += ch; break;
-    }
-  }
-  return out;
-}
-
-std::string html_bar(double frac, const char* color) {
-  std::ostringstream os;
-  os.precision(1);
-  os << "<div class=\"bar\" style=\"width:" << std::fixed
-     << std::clamp(frac, 0.0, 1.0) * 100.0 << "%;background:" << color
-     << "\"></div>";
-  return os.str();
-}
-
-}  // namespace
-
-void ScalingReport::write_html(std::ostream& os) const {
-  os << "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\n<title>"
-     << html_escape(title) << " — scaling report</title>\n<style>\n"
-        "body{font-family:sans-serif;margin:2em;max-width:75em}\n"
-        "table{border-collapse:collapse;margin:1em 0}\n"
-        "td,th{border:1px solid #ccc;padding:0.3em 0.6em;text-align:right}\n"
-        "th{background:#f0f0f0}\ntd.l,th.l{text-align:left}\n"
-        ".bar{height:0.8em;min-width:1px;display:inline-block}\n"
-        ".cell{width:12em}\n</style></head><body>\n";
-  os << "<h1>Scaling report: " << html_escape(title) << "</h1>\n";
-  os << "<p>strategy <b>" << html_escape(strategy) << "</b>, "
-     << (fault_spec.empty()
-             ? std::string("clean")
-             : "faults <b>" + html_escape(fault_spec) + "</b>");
-  if (!recovery_spec.empty()) {
-    os << ", recovery <b>" << html_escape(recovery_spec) << "</b>";
-  }
-  if (seq_elapsed_s > 0.0) {
-    os << ", sequential baseline <b>" << fmt(seq_elapsed_s, 4) << " s</b>";
-  }
-  os << ", classification <b>" << html_escape(classification) << "</b>";
-  if (!crossover_site.empty()) {
-    os << " (dominant site: " << html_escape(crossover_site_kind) << " "
-       << html_escape(crossover_site) << ")";
-  }
-  os << "</p>\n";
-
-  os << "<h2>Efficiency curve</h2>\n<table><tr><th>ranks</th>"
-        "<th class=\"l\">partition</th><th class=\"l\">engine</th>"
-        "<th>elapsed</th><th>speedup</th><th>efficiency</th>"
-        "<th class=\"l cell\"></th><th>Karp–Flatt</th><th>comm share</th>"
-        "<th>imbalance</th></tr>\n";
-  for (const auto& c : cells) {
-    os << "<tr><td>" << c.nranks << (c.baseline ? "*" : "")
-       << "</td><td class=\"l\">" << html_escape(c.partition)
-       << "</td><td class=\"l\">" << html_escape(c.engine) << "</td><td>"
-       << fmt(c.elapsed_s, 4) << " s</td><td>" << fmt(c.speedup, 2)
-       << "x</td><td>" << fmt_pct(c.efficiency) << "</td><td class=\"l cell\">"
-       << html_bar(c.efficiency, "#4a90d9") << "</td><td>"
-       << fmt(c.karp_flatt, 4) << "</td><td>" << fmt_pct(c.comm_share)
-       << "</td><td>" << fmt(c.imbalance, 2) << "</td></tr>\n";
-  }
-  os << "</table>\n";
-
-  if (!site_trends.empty()) {
-    os << "<h2>Communication share by sync site</h2>\n<table><tr>"
-          "<th class=\"l\">site</th>";
-    for (const auto& c : cells) os << "<th>p=" << c.nranks << "</th>";
-    os << "</tr>\n";
-    for (const auto& t : site_trends) {
-      os << "<tr><td class=\"l\">" << html_escape(t.kind) << " "
-         << html_escape(t.label) << "</td>";
-      for (const auto share : t.shares) {
-        os << "<td>" << fmt_pct(share) << "</td>";
-      }
-      os << "</tr>\n";
-    }
-    os << "</table>\n";
-  }
-
-  if (!plan_points.empty()) {
-    os << "<h2>Planner verdict per scale</h2>\n<table><tr><th>ranks</th>"
-          "<th class=\"l\">measured</th><th class=\"l\">planned</th>"
-          "<th>predicted</th><th>static predicted</th></tr>\n";
-    for (const auto& p : plan_points) {
-      os << "<tr><td>" << p.nranks << "</td><td class=\"l\">"
-         << html_escape(p.measured_partition) << "</td><td class=\"l\">"
-         << html_escape(p.planned_partition) << " ("
-         << html_escape(p.planned_strategy) << ")" << (p.improves ? " +" : "")
-         << "</td><td>" << fmt(p.predicted_s, 4) << " s</td><td>"
-         << fmt(p.static_predicted_s, 4) << " s</td></tr>\n";
-    }
-    os << "</table>\n";
-    if (recommended_nranks > 0) {
-      os << "<p>recommendation: <b>" << recommended_nranks << " ranks as "
-         << html_escape(recommended_partition) << "</b></p>\n";
-    }
-  }
-  os << "</body></html>\n";
-}
-
 std::optional<SweepFormat> parse_sweep_format(std::string_view name) {
   if (name.empty() || name == "text") return SweepFormat::Text;
   if (name == "json") return SweepFormat::Json;
-  if (name == "html") return SweepFormat::Html;
   return std::nullopt;
 }
 
@@ -488,7 +376,6 @@ void write_scaling_report(const ScalingReport& report, SweepFormat format,
   switch (format) {
     case SweepFormat::Json: report.write_json(os); break;
     case SweepFormat::Text: report.write_text(os); break;
-    case SweepFormat::Html: report.write_html(os); break;
   }
 }
 

@@ -9,7 +9,9 @@
 //   * The regression sentinel is direction-aware and robust: a 2x
 //     elapsed regression trips it naming the metric, identical series
 //     and improvements never do, and metrics below min_history wait
-//     instead of gating.
+//     instead of gating. A one-record window is the plain
+//     baseline-vs-current gate, and sidecars of one bench that
+//     disagree on their configuration are refused.
 //   * Compaction keeps the newest K records per group in order;
 //     rotation renames a grown ledger aside exactly when asked.
 //   * The builders distill real artifacts: a finished run report, a
@@ -167,6 +169,16 @@ std::vector<RunRecord> history_of(const std::string& metric,
   return records;
 }
 
+/// The baseline-vs-current gate: the newest record against the one
+/// before it, band threshold * |baseline|.
+SentinelOptions one_record_window(double threshold) {
+  SentinelOptions options;
+  options.window = 1;
+  options.min_history = 1;
+  options.rel_threshold = threshold;
+  return options;
+}
+
 TEST(Sentinel, DetectsDoubledElapsedNamingTheMetric) {
   const auto records =
       history_of("elapsed_s", {1.0, 1.0, 1.0, 1.0, 2.0});
@@ -223,6 +235,53 @@ TEST(Sentinel, NoisyHistoryGetsProportionalSlack) {
   EXPECT_FALSE(run_sentinel(
                    history_of("elapsed_s", {1.0, 1.3, 0.9, 1.4, 1.1, 2.5}))
                    .ok());
+}
+
+TEST(Sentinel, OneRecordWindowTripsOnDoubledElapsed) {
+  // Only the previous record is the baseline: the older 5.0 is outside
+  // the window, so 2.0 against 1.0 still trips.
+  const auto report = run_sentinel(history_of("elapsed_s", {5.0, 1.0, 2.0}),
+                                   one_record_window(0.10));
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.metrics_checked, 1u);
+  ASSERT_EQ(report.regressions().size(), 1u);
+  EXPECT_DOUBLE_EQ(report.regressions()[0]->baseline_median, 1.0);
+}
+
+TEST(Sentinel, OneRecordWindowToleratesGrowthInsideTheThreshold) {
+  const auto report = run_sentinel(history_of("elapsed_s", {1.0, 1.09}),
+                                   one_record_window(0.10));
+  EXPECT_TRUE(report.ok());
+  EXPECT_EQ(report.metrics_checked, 1u);
+}
+
+TEST(Sentinel, OneRecordWindowTripsOnSpeedupDropBeyondThreshold) {
+  const auto gate = one_record_window(0.5);
+  EXPECT_FALSE(run_sentinel(history_of("speedup", {8.0, 3.9}), gate).ok());
+  EXPECT_TRUE(run_sentinel(history_of("speedup", {8.0, 4.1}), gate).ok());
+}
+
+TEST(Sentinel, OneRecordWindowTripsOnGrowthFromZeroBaseline) {
+  const auto gate = one_record_window(0.10);
+  EXPECT_FALSE(run_sentinel(history_of("elapsed_s", {0.0, 1e-9}), gate).ok());
+  EXPECT_TRUE(run_sentinel(history_of("elapsed_s", {0.0, 0.0}), gate).ok());
+}
+
+TEST(Sentinel, SidecarsOfDifferentConfigurationsConflict) {
+  const RunRecord base = make_rec("fig_overlap", 1.0, "bench");
+  RunRecord debug = base;
+  debug.build_type = "Debug";
+  const auto conflict = identity_conflict({base, debug});
+  ASSERT_TRUE(conflict.has_value());
+  EXPECT_NE(conflict->find("build_type"), std::string::npos);
+  EXPECT_NE(conflict->find("fig_overlap"), std::string::npos);
+  EXPECT_EQ(conflict->find("engine"), std::string::npos);
+
+  // Different benches may differ freely; so may identical twins.
+  RunRecord other = make_rec("fig_planner", 1.0, "bench");
+  other.build_type = "Debug";
+  EXPECT_FALSE(identity_conflict({base, other}).has_value());
+  EXPECT_FALSE(identity_conflict({base, base}).has_value());
 }
 
 TEST(Sentinel, TextAndJsonOutputsNameTheVerdict) {
@@ -425,24 +484,21 @@ TEST(History, SparklineShapesFollowTheSeries) {
   EXPECT_EQ(sparkline({9.0, 9.0, 1.0, 1.0}, 2).size(), 2u);
 }
 
-TEST(History, RendersAllThreeFormats) {
+TEST(History, RendersTextAndJson) {
   std::vector<RunRecord> records;
   for (int i = 0; i < 4; ++i) {
     records.push_back(make_rec("aerofoil", 1.0 + 0.1 * i));
   }
-  std::ostringstream text, json, html;
+  std::ostringstream text, json;
   write_history(records, HistoryFormat::Text, text);
   write_history(records, HistoryFormat::Json, json);
-  write_history(records, HistoryFormat::Html, html);
   EXPECT_NE(text.str().find("== run aerofoil"), std::string::npos);
   EXPECT_NE(text.str().find("elapsed_s"), std::string::npos);
   EXPECT_NE(json.str().find("\"metric\": \"elapsed_s\""),
             std::string::npos);
-  EXPECT_NE(html.str().find("<!DOCTYPE html>"), std::string::npos);
-  EXPECT_NE(html.str().find("elapsed_s"), std::string::npos);
-  // Format parsing: empty means text, junk is rejected.
+  // Format parsing: empty means text; html and junk are rejected.
   EXPECT_EQ(parse_history_format(""), HistoryFormat::Text);
-  EXPECT_EQ(parse_history_format("html"), HistoryFormat::Html);
+  EXPECT_FALSE(parse_history_format("html").has_value());
   EXPECT_FALSE(parse_history_format("pdf").has_value());
 }
 

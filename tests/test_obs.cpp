@@ -330,11 +330,11 @@ TEST(TraceMetricsBridge, JsonIsDeterministicAcrossBridgings) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-pipeline acceptance (aerofoil at trace_viewer's laptop size)
+// Full-pipeline acceptance (aerofoil at a laptop-friendly size)
 // ---------------------------------------------------------------------------
 
-// trace_viewer's laptop-friendly aerofoil on 4 ranks: small enough to
-// run per test, big enough to exercise every decision kind.
+// A laptop-friendly aerofoil on 4 ranks: small enough to run per
+// test, big enough to exercise every decision kind.
 std::string aerofoil_src() {
   cfd::AerofoilParams p;
   p.n1 = 48;

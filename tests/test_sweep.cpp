@@ -184,6 +184,12 @@ TEST(ScalingReport, RejectsForeignSchemaVersion) {
   EXPECT_NE(error.find("--sweep"), std::string::npos) << error;
 }
 
+TEST(ScalingReport, FormatsAreJsonAndTextOnly) {
+  EXPECT_EQ(parse_sweep_format(""), SweepFormat::Text);
+  EXPECT_EQ(parse_sweep_format("json"), SweepFormat::Json);
+  EXPECT_FALSE(parse_sweep_format("html").has_value());
+}
+
 TEST(Sweep, CellsReconcileExactlyWithRunReports) {
   const auto app = test_aerofoil();
   SweepSpec spec;

@@ -6,15 +6,24 @@
 // metric. A fresh ledger — or one without enough history yet — passes:
 // the gate only trips on evidence.
 //
+// A one-record window gates a current sidecar against a baseline one:
+//   perf_sentinel --window=1 --min-history=1 --threshold=T
+//                 --sidecar=BASE.json --sidecar=CUR.json
+// Sidecars of one bench that disagree on build type, engine or machine
+// are refused (exit 2) rather than filed in separate groups.
+//
 // Usage:
 //   perf_sentinel LEDGER.jsonl [MORE.jsonl ...]
 //                 [--sidecar=FILE]... [--window=K] [--min-history=N]
 //                 [--threshold=T] [--mad-factor=F] [--format=text|json]
 //
 // Exit codes: 0 clean, 1 regression detected, 2 usage / unreadable
-// input. Ledger parse warnings (corrupt lines, foreign schema
-// versions) go to stderr and are non-fatal — that tolerance is the
-// point of a per-line schema version.
+// input / mismatched sidecar identities. Ledger parse warnings
+// (corrupt lines, foreign schema versions) go to stderr and are
+// non-fatal — that tolerance is the point of a per-line schema
+// version.
+#include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -41,18 +50,27 @@ int usage(const char* argv0) {
   return 2;
 }
 
+// strtoull accepts "-1" and wraps it to 2^64-1, so the value must
+// start with a digit.
 bool parse_size(const std::string& text, std::size_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
   char* end = nullptr;
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || text.empty()) return false;
+  if (end == nullptr || *end != '\0') return false;
   *out = static_cast<std::size_t>(v);
   return true;
 }
 
+// nan and inf would turn the tolerance band into nan or infinity and
+// silently disable the gate.
 bool parse_double(const std::string& text, double* out) {
   char* end = nullptr;
   const double v = std::strtod(text.c_str(), &end);
-  if (end == nullptr || *end != '\0' || text.empty()) return false;
+  if (end == nullptr || *end != '\0' || text.empty() || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }
@@ -131,6 +149,7 @@ int main(int argc, char** argv) {
   }
   // Sidecars are the freshest measurements: append after the ledgers
   // so each becomes its group's candidate record.
+  std::vector<ledger::RunRecord> sidecars;
   for (const auto& path : sidecar_paths) {
     std::string error;
     auto rec = ledger::record_from_sidecar_file(path, &error);
@@ -138,8 +157,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "perf_sentinel: %s\n", error.c_str());
       return 2;
     }
-    records.push_back(std::move(*rec));
+    sidecars.push_back(std::move(*rec));
   }
+  if (const auto conflict = ledger::identity_conflict(sidecars)) {
+    std::fprintf(stderr, "perf_sentinel: %s\n", conflict->c_str());
+    return 2;
+  }
+  for (auto& rec : sidecars) records.push_back(std::move(rec));
 
   const auto report = ledger::run_sentinel(records, options);
   if (format == "json") {
