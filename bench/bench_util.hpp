@@ -11,8 +11,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -28,63 +26,19 @@ namespace bench_util {
 /// Values recorded for the machine-readable sidecar. finish() writes
 /// them to BENCH_<binary>.json so the perf trajectory of the tables
 /// and figures can be tracked across PRs without scraping stdout.
-inline std::map<std::string, double>& json_records() {
-  static std::map<std::string, double> records;
-  return records;
-}
-
-/// String-valued sidecar records (loop classes etc.). Kept separate
-/// from the numeric map; write_json_report interleaves both sorted.
-inline std::map<std::string, std::string>& json_string_records() {
-  static std::map<std::string, std::string> records;
+inline autocfd::ledger::Sidecar& sidecar() {
+  static autocfd::ledger::Sidecar records;
   return records;
 }
 
 /// Records one measurement (e.g. "aerofoil.4x1x1.elapsed_s").
 inline void record(const std::string& key, double value) {
-  json_records()[key] = value;
+  sidecar().numbers[key] = value;
 }
 
 /// Records one string-valued fact (e.g. "hot.0.class").
 inline void record_str(const std::string& key, const std::string& value) {
-  json_string_records()[key] = value;
-}
-
-/// Writes the recorded measurements as a flat JSON object (numeric and
-/// string values interleaved in one sorted key order).
-inline void write_json_report(const std::string& path) {
-  std::ofstream os(path);
-  os << "{\n";
-  bool first = true;
-  auto nit = json_records().begin();
-  auto sit = json_string_records().begin();
-  const auto emit_sep = [&] {
-    if (!first) os << ",\n";
-    first = false;
-  };
-  while (nit != json_records().end() ||
-         sit != json_string_records().end()) {
-    const bool take_num =
-        sit == json_string_records().end() ||
-        (nit != json_records().end() && nit->first < sit->first);
-    if (take_num) {
-      emit_sep();
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "%.17g", nit->second);
-      os << "  \"" << nit->first << "\": " << buf;
-      ++nit;
-    } else {
-      emit_sep();
-      std::string escaped;
-      for (const char ch : sit->second) {
-        if (ch == '"' || ch == '\\') escaped += '\\';
-        escaped += ch;
-      }
-      os << "  \"" << sit->first << "\": \"" << escaped << "\"";
-      ++sit;
-    }
-  }
-  os << "\n}\n";
+  sidecar().strings[key] = value;
 }
 
 inline void heading(const std::string& title) {
@@ -183,7 +137,7 @@ inline int finish(int argc, char** argv) {
     // run one small aerofoil so both blocks are present with the same
     // schema.
     bool have_phases = false, have_hot = false;
-    for (const auto& [key, value] : json_records()) {
+    for (const auto& [key, value] : sidecar().numbers) {
       (void)value;
       if (key.rfind("phase.", 0) == 0) have_phases = true;
       if (key.rfind("hot.", 0) == 0) have_hot = true;
@@ -202,8 +156,11 @@ inline int finish(int argc, char** argv) {
       stem = stem.substr(slash + 1);
     }
     const std::string path = "BENCH_" + stem + ".json";
-    write_json_report(path);
-    note("\n[bench_util] wrote " + std::to_string(json_records().size()) +
+    if (const auto err = autocfd::ledger::write_sidecar(path, sidecar())) {
+      std::fprintf(stderr, "[bench_util] %s\n", err->c_str());
+      return 1;
+    }
+    note("\n[bench_util] wrote " + std::to_string(sidecar().numbers.size()) +
          " measurement(s) to " + path);
 
     // With ACFD_LEDGER set, the sidecar also becomes one run-history
@@ -212,8 +169,7 @@ inline int finish(int argc, char** argv) {
     // loud warning, never a bench failure.
     if (const char* ledger_path = std::getenv("ACFD_LEDGER");
         ledger_path != nullptr && ledger_path[0] != '\0') {
-      const auto rec = autocfd::ledger::record_from_sidecar(
-          stem, json_records(), json_string_records());
+      const auto rec = autocfd::ledger::record_from_sidecar(stem, sidecar());
       if (const auto err = autocfd::ledger::append_record(ledger_path, rec)) {
         std::fprintf(stderr, "[bench_util] ledger append failed: %s\n",
                      err->c_str());

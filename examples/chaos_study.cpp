@@ -23,11 +23,15 @@
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fault/fault.hpp"
 #include "autocfd/fortran/parser.hpp"
+#include "autocfd/support/json.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 using namespace autocfd;
 
 namespace {
+
+using support::json_escape;
+using support::json_number;
 
 struct RunRecord {
   std::string name;
@@ -39,19 +43,6 @@ struct RunRecord {
   long long retransmits = 0, recovered = 0;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
 void write_report(const std::string& path,
                   const std::vector<RunRecord>& records, bool all_ok) {
   std::ofstream os(path);
@@ -61,8 +52,9 @@ void write_report(const std::string& path,
     const auto& r = records[i];
     os << "    {\"name\": \"" << json_escape(r.name) << "\", \"plan\": \""
        << json_escape(r.plan) << "\", \"ok\": " << (r.ok ? "true" : "false")
-       << ", \"elapsed_s\": " << r.elapsed << ", \"delayed\": " << r.delayed
-       << ", \"dropped\": " << r.dropped << ", \"corrupted\": " << r.corrupted
+       << ", \"elapsed_s\": " << json_number(r.elapsed)
+       << ", \"delayed\": " << r.delayed << ", \"dropped\": " << r.dropped
+       << ", \"corrupted\": " << r.corrupted
        << ", \"retransmits\": " << r.retransmits
        << ", \"recovered\": " << r.recovered
        << ", \"detail\": \"" << json_escape(r.detail) << "\"}"

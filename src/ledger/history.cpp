@@ -8,7 +8,7 @@
 #include <set>
 
 #include "autocfd/ledger/sentinel.hpp"
-#include "autocfd/obs/json_util.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::ledger {
 
@@ -131,8 +131,8 @@ void write_text(const std::vector<GroupView>& groups, std::ostream& os,
 }
 
 void write_json(const std::vector<GroupView>& groups, std::ostream& os) {
-  using obs::json_escape;
-  using obs::json_number;
+  using support::json_escape;
+  using support::json_number;
   os << "{\n  \"schema_version\": " << kLedgerSchemaVersion
      << ",\n  \"groups\": [";
   for (std::size_t g = 0; g < groups.size(); ++g) {

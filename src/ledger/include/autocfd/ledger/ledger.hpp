@@ -9,10 +9,10 @@
 // or corrupted line costs exactly that line.
 //
 // Records are written with the repository's deterministic JSON
-// conventions (fixed key order, obs::json_number formatting), so one
-// record round-trips write -> read -> write byte-identically — the
+// conventions (fixed key order, support::json_number formatting), so
+// one record round-trips write -> read -> write byte-identically — the
 // property CI leans on to diff ledgers — and are read back with
-// plan::json_reader, the same reader the planner and sweep use.
+// support/json, the same reader the planner and sweep use.
 #pragma once
 
 #include <cstdint>

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <optional>
 #include <string>
 
 #include "autocfd/ledger/ledger.hpp"
@@ -40,19 +41,36 @@ struct RunMeta {
                                         const prof::RunReport* report,
                                         const obs::ObsContext* obs);
 
-/// Wraps one bench sidecar (the flat BENCH_*.json maps) as a record.
-/// The sidecar's meta.build_type / meta.engine / meta.machine /
-/// meta.seed keys are lifted into the record's identity fields; every
-/// other key is preserved verbatim, so the sentinel gates exactly the
-/// keys of the sidecar itself.
-[[nodiscard]] RunRecord record_from_sidecar(
-    const std::string& input, const std::map<std::string, double>& numbers,
-    const std::map<std::string, std::string>& strings);
+/// One bench binary's BENCH_<name>.json sidecar: a flat JSON object
+/// of numeric and string-valued keys. This file owns the format: the
+/// benches write it, perf_sentinel and `acfd --history-bench` read it.
+struct Sidecar {
+  std::map<std::string, double> numbers;
+  std::map<std::string, std::string> strings;
+};
 
-/// Reads one BENCH_*.json sidecar file into a record. The record's
-/// input is the file's stem with the "BENCH_" prefix stripped
-/// ("BENCH_fig_overlap.json" -> "fig_overlap"). Returns nullopt with a
-/// diagnostic when the file is unreadable or not a flat JSON object.
+/// Reads one sidecar file (booleans read as 1/0; nested values are
+/// ignored). Returns nullopt with a diagnostic when the file is
+/// unreadable or not a JSON object.
+[[nodiscard]] std::optional<Sidecar> read_sidecar(const std::string& path,
+                                                  std::string* error);
+
+/// Writes `sidecar` to `path`, both maps in one sorted key order, one
+/// key per line. Refuses — writing nothing and naming each offending
+/// key — a non-finite number (JSON has none) or a key in both maps.
+[[nodiscard]] std::optional<std::string> write_sidecar(
+    const std::string& path, const Sidecar& sidecar);
+
+/// Wraps one sidecar as a record. The sidecar's meta.build_type /
+/// meta.engine / meta.machine / meta.seed keys are lifted into the
+/// record's identity fields; every other key is preserved verbatim, so
+/// the sentinel gates exactly the keys of the sidecar itself.
+[[nodiscard]] RunRecord record_from_sidecar(const std::string& input,
+                                            const Sidecar& sidecar);
+
+/// read_sidecar + record_from_sidecar. The record's input is the
+/// file's stem with the "BENCH_" prefix stripped
+/// ("BENCH_fig_overlap.json" -> "fig_overlap").
 [[nodiscard]] std::optional<RunRecord> record_from_sidecar_file(
     const std::string& path, std::string* error);
 

@@ -5,8 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::ledger {
 
@@ -22,8 +21,8 @@ std::string RunRecord::group_key() const {
 }
 
 void RunRecord::write_json(std::ostream& os) const {
-  using obs::json_escape;
-  using obs::json_number;
+  using support::json_escape;
+  using support::json_number;
   os << "{\"schema_version\": " << schema_version;
   os << ", \"kind\": \"" << json_escape(kind) << "\"";
   os << ", \"input\": \"" << json_escape(input) << "\"";
@@ -63,27 +62,22 @@ std::string RunRecord::json() const {
 
 namespace {
 
-/// Rebuilds a RunRecord from one parsed JSONL line. Returns nullopt
-/// with a one-line reason when the line cannot be a record of this
-/// schema version.
-std::optional<RunRecord> record_from_json(const plan::JsonValue& root,
+using support::JsonValue;
+
+/// Rebuilds a RunRecord from one JSONL line. Returns nullopt with a
+/// one-line reason when the line cannot be a record of this schema
+/// version.
+std::optional<RunRecord> record_from_json(std::string_view line,
                                           std::string* why) {
-  if (root.kind != plan::JsonValue::Kind::Object) {
-    *why = "not a JSON object";
-    return std::nullopt;
-  }
-  const long long version = root.int_or("schema_version", 0);
-  if (version != kLedgerSchemaVersion) {
-    *why = "record schema_version " + std::to_string(version) +
-           " (this build reads " + std::to_string(kLedgerSchemaVersion) +
-           "); re-record or migrate the ledger";
-    return std::nullopt;
-  }
+  const auto root = support::parse_json_document(
+      line, "record", kLedgerSchemaVersion,
+      "re-record or migrate the ledger", why);
+  if (!root) return std::nullopt;
   RunRecord rec;
-  rec.kind = root.str_or("kind", "");
-  rec.input = root.str_or("input", "");
-  if (const auto* meta = root.find("meta");
-      meta != nullptr && meta->kind == plan::JsonValue::Kind::Object) {
+  rec.kind = root->str_or("kind", "");
+  rec.input = root->str_or("input", "");
+  if (const auto* meta = root->find("meta");
+      meta != nullptr && meta->kind == JsonValue::Kind::Object) {
     rec.source_fnv = meta->str_or("source_fnv", "");
     rec.build_type = meta->str_or("build_type", "");
     rec.engine = meta->str_or("engine", "");
@@ -93,18 +87,18 @@ std::optional<RunRecord> record_from_json(const plan::JsonValue& root,
     rec.strategy = meta->str_or("strategy", "");
     rec.nranks = static_cast<int>(meta->int_or("nranks", 0));
   }
-  if (const auto* metrics = root.find("metrics");
-      metrics != nullptr && metrics->kind == plan::JsonValue::Kind::Object) {
+  if (const auto* metrics = root->find("metrics");
+      metrics != nullptr && metrics->kind == JsonValue::Kind::Object) {
     for (const auto& [key, value] : metrics->fields) {
-      if (value.kind == plan::JsonValue::Kind::Number) {
+      if (value.kind == JsonValue::Kind::Number) {
         rec.metrics[key] = value.number;
       }
     }
   }
-  if (const auto* attrs = root.find("attrs");
-      attrs != nullptr && attrs->kind == plan::JsonValue::Kind::Object) {
+  if (const auto* attrs = root->find("attrs");
+      attrs != nullptr && attrs->kind == JsonValue::Kind::Object) {
     for (const auto& [key, value] : attrs->fields) {
-      if (value.kind == plan::JsonValue::Kind::String) {
+      if (value.kind == JsonValue::Kind::String) {
         rec.attrs[key] = value.string;
       }
     }
@@ -129,21 +123,12 @@ LedgerReadResult parse_ledger(std::string_view text,
     // Blank lines (and a trailing newline) are not records.
     if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
 
-    const auto warn = [&](const std::string& why) {
+    std::string why;
+    auto rec = record_from_json(line, &why);
+    if (!rec) {
       result.warnings.push_back(std::string(origin) + ":" +
                                 std::to_string(line_no) + ": " + why +
                                 " (skipped)");
-    };
-    std::string parse_error;
-    const auto root = plan::parse_json(line, &parse_error);
-    if (!root) {
-      warn("unparseable line: " + parse_error);
-      continue;
-    }
-    std::string why;
-    auto rec = record_from_json(*root, &why);
-    if (!rec) {
-      warn(why);
       continue;
     }
     result.records.push_back(std::move(*rec));

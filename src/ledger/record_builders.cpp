@@ -1,12 +1,14 @@
 #include "autocfd/ledger/record_builders.hpp"
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "autocfd/obs/obs.hpp"
-#include "autocfd/plan/json_reader.hpp"
 #include "autocfd/prof/report.hpp"
+#include "autocfd/support/json.hpp"
+#include "autocfd/support/strings.hpp"
 
 namespace autocfd::ledger {
 
@@ -125,15 +127,14 @@ RunRecord make_run_record(const RunMeta& meta,
   return rec;
 }
 
-RunRecord record_from_sidecar(
-    const std::string& input, const std::map<std::string, double>& numbers,
-    const std::map<std::string, std::string>& strings) {
+RunRecord record_from_sidecar(const std::string& input,
+                              const Sidecar& sidecar) {
   RunRecord rec;
   rec.kind = "bench";
   rec.input = input;
   rec.build_type = build_type_name();
 
-  for (const auto& [key, value] : strings) {
+  for (const auto& [key, value] : sidecar.strings) {
     if (key == "meta.build_type") {
       rec.build_type = value;
     } else if (key == "meta.engine") {
@@ -144,9 +145,9 @@ RunRecord record_from_sidecar(
       rec.attrs[key] = value;
     }
   }
-  for (const auto& [key, value] : numbers) {
+  for (const auto& [key, value] : sidecar.numbers) {
     if (key == "meta.seed") {
-      rec.seed = static_cast<long long>(value);
+      rec.seed = support::exact_int(value).value_or(0);
     } else {
       rec.metrics[key] = value;
     }
@@ -154,8 +155,8 @@ RunRecord record_from_sidecar(
   return rec;
 }
 
-std::optional<RunRecord> record_from_sidecar_file(const std::string& path,
-                                                  std::string* error) {
+std::optional<Sidecar> read_sidecar(const std::string& path,
+                                    std::string* error) {
   std::ifstream in(path);
   if (!in) {
     if (error != nullptr) *error = path + ": cannot open";
@@ -165,32 +166,70 @@ std::optional<RunRecord> record_from_sidecar_file(const std::string& path,
   text << in.rdbuf();
 
   std::string parse_error;
-  const auto doc = plan::parse_json(text.str(), &parse_error);
-  if (!doc || doc->kind != plan::JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = path + ": " +
-               (parse_error.empty() ? "not a JSON object" : parse_error);
-    }
+  auto doc = support::parse_json(text.str(), &parse_error);
+  if (doc && doc->kind != support::JsonValue::Kind::Object) {
+    doc.reset();
+    parse_error = "not a JSON object";
+  }
+  if (!doc) {
+    if (error != nullptr) *error = path + ": " + parse_error;
     return std::nullopt;
   }
 
-  std::map<std::string, double> numbers;
-  std::map<std::string, std::string> strings;
+  Sidecar sidecar;
   for (const auto& [key, value] : doc->fields) {
-    if (value.kind == plan::JsonValue::Kind::Number) {
-      numbers[key] = value.number;
-    } else if (value.kind == plan::JsonValue::Kind::String) {
-      strings[key] = value.string;
-    } else if (value.kind == plan::JsonValue::Kind::Bool) {
-      numbers[key] = value.boolean ? 1.0 : 0.0;
+    if (value.kind == support::JsonValue::Kind::Number) {
+      sidecar.numbers[key] = value.number;
+    } else if (value.kind == support::JsonValue::Kind::String) {
+      sidecar.strings[key] = value.string;
+    } else if (value.kind == support::JsonValue::Kind::Bool) {
+      sidecar.numbers[key] = value.boolean ? 1.0 : 0.0;
     }
     // Nested objects/arrays never appear in the flat sidecars; any
     // that do are ignored rather than rejected.
   }
+  return sidecar;
+}
 
+std::optional<std::string> write_sidecar(const std::string& path,
+                                         const Sidecar& sidecar) {
+  // Both maps render into one sorted key order.
+  std::map<std::string, std::string> values;
+  std::vector<std::string> bad;
+  for (const auto& [key, value] : sidecar.numbers) {
+    if (std::isfinite(value)) {
+      values[key] = support::json_number(value);
+    } else {
+      bad.push_back(key + " = " + std::to_string(value));
+    }
+  }
+  for (const auto& [key, value] : sidecar.strings) {
+    if (!values.emplace(key, "\"" + support::json_escape(value) + "\"")
+             .second) {
+      bad.push_back(key + " is both a number and a string");
+    }
+  }
+  if (!bad.empty()) return path + ": not written; " + join(bad, "; ");
+
+  std::ofstream os(path);
+  os << "{\n";
+  const char* sep = "";
+  for (const auto& [key, text] : values) {
+    os << sep << "  \"" << support::json_escape(key) << "\": " << text;
+    sep = ",\n";
+  }
+  os << "\n}\n";
+  if (!os) return path + ": cannot write";
+  return std::nullopt;
+}
+
+std::optional<RunRecord> record_from_sidecar_file(const std::string& path,
+                                                  std::string* error) {
+  const auto sidecar = read_sidecar(path, error);
+  if (!sidecar) return std::nullopt;
   std::string stem = std::filesystem::path(path).stem().string();
   if (stem.rfind("BENCH_", 0) == 0) stem = stem.substr(6);
-  return record_from_sidecar(stem, numbers, strings);
+  return record_from_sidecar(stem, *sidecar);
 }
 
 }  // namespace autocfd::ledger

@@ -6,7 +6,7 @@
 #include <map>
 #include <ostream>
 
-#include "autocfd/obs/json_util.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::ledger {
 
@@ -163,8 +163,8 @@ void write_sentinel_text(const SentinelReport& report, std::ostream& os) {
 }
 
 void write_sentinel_json(const SentinelReport& report, std::ostream& os) {
-  using obs::json_escape;
-  using obs::json_number;
+  using support::json_escape;
+  using support::json_number;
   os << "{\n  \"groups\": " << report.groups
      << ",\n  \"metrics_checked\": " << report.metrics_checked
      << ",\n  \"metrics_waiting\": " << report.metrics_waiting

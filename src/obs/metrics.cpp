@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::obs {
+
+using support::json_escape;
+using support::json_number;
 
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   std::sort(bounds_.begin(), bounds_.end());

@@ -3,10 +3,13 @@
 #include <cstdio>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
 #include "autocfd/obs/metrics.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::obs {
+
+using support::json_escape;
+using support::json_number;
 
 void PassProfiler::record(PhaseProfile p) {
   for (auto& existing : phases_) {

@@ -2,9 +2,11 @@
 
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::obs {
+
+using support::json_escape;
 
 const char* decision_kind_name(DecisionKind kind) {
   switch (kind) {

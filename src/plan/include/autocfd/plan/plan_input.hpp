@@ -20,7 +20,7 @@
 namespace autocfd::plan {
 
 struct PlanInput {
-  int schema_version = 0;
+  int schema_version = prof::kRunReportSchemaVersion;
   std::string title;
   std::string partition;  // PartitionSpec::str() of the measured run
   int nranks = 0;

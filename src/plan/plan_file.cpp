@@ -4,13 +4,13 @@
 #include <fstream>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::plan {
 
-using obs::json_escape;
-using obs::json_number;
+using support::json_escape;
+using support::json_number;
+using support::JsonValue;
 
 core::PlanOverrides PlanFile::to_overrides(std::string origin) const {
   core::PlanOverrides over;
@@ -103,26 +103,11 @@ void PlanFile::write_text(std::ostream& os) const {
 
 std::optional<PlanFile> PlanFile::parse(std::string_view text,
                                         std::string* error) {
-  const auto root = parse_json(text, error);
-  if (!root) {
-    if (error != nullptr) *error = "plan file: " + *error;
-    return std::nullopt;
-  }
-  if (root->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) *error = "plan file: top level is not an object";
-    return std::nullopt;
-  }
+  const auto root = support::parse_json_document(
+      text, "plan file", kPlanFileSchemaVersion,
+      "re-generate the plan with `acfd --plan-from`", error);
+  if (!root) return std::nullopt;
   PlanFile plan;
-  plan.schema_version = static_cast<int>(root->int_or("schema_version", 0));
-  if (plan.schema_version != kPlanFileSchemaVersion) {
-    if (error != nullptr) {
-      *error = "plan file schema_version " +
-               std::to_string(plan.schema_version) + " (this build expects " +
-               std::to_string(kPlanFileSchemaVersion) +
-               "); re-generate the plan with `acfd --plan-from`";
-    }
-    return std::nullopt;
-  }
   plan.planned_from = root->str_or("planned_from", "");
   plan.fault_spec = root->str_or("fault_spec", "");
   plan.nranks = static_cast<int>(root->int_or("nranks", 0));

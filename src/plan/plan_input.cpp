@@ -3,9 +3,11 @@
 #include <fstream>
 #include <sstream>
 
-#include "autocfd/plan/json_reader.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::plan {
+
+using support::JsonValue;
 
 double PlanInput::loop_time(int line) const {
   double total = 0.0;
@@ -33,29 +35,12 @@ long long PlanInput::site_messages(const std::string& kind) const {
 
 std::optional<PlanInput> plan_input_from_json(std::string_view text,
                                               std::string* error) {
-  const auto root = parse_json(text, error);
-  if (!root) {
-    if (error != nullptr) *error = "run report: " + *error;
-    return std::nullopt;
-  }
-  if (root->kind != JsonValue::Kind::Object) {
-    if (error != nullptr) *error = "run report: top level is not an object";
-    return std::nullopt;
-  }
-
+  const auto root = support::parse_json_document(
+      text, "run report", prof::kRunReportSchemaVersion,
+      "re-generate the report with this build's `acfd --report=json`",
+      error);
+  if (!root) return std::nullopt;
   PlanInput in;
-  in.schema_version = static_cast<int>(root->int_or("schema_version", 0));
-  if (in.schema_version != prof::kRunReportSchemaVersion) {
-    if (error != nullptr) {
-      *error = "run report schema_version " +
-               std::to_string(in.schema_version) + " (planner expects " +
-               std::to_string(prof::kRunReportSchemaVersion) +
-               "); re-generate the report with this build's "
-               "`acfd --report=json`";
-    }
-    return std::nullopt;
-  }
-
   in.title = root->str_or("title", "");
   in.partition = root->str_or("partition", "");
   in.nranks = static_cast<int>(root->int_or("nranks", 0));
@@ -128,7 +113,6 @@ std::optional<PlanInput> load_plan_input(const std::string& path,
 
 PlanInput plan_input_from_report(const prof::RunReport& report) {
   PlanInput in;
-  in.schema_version = prof::kRunReportSchemaVersion;
   in.title = report.title;
   in.partition = report.partition;
   in.nranks = report.nranks;

@@ -4,14 +4,14 @@
 #include <cmath>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::prof {
 
 namespace {
 
-using obs::json_escape;
-using obs::json_number;
+using support::json_escape;
+using support::json_number;
 
 const char* site_kind_name(sync::CommSite::Kind kind) {
   switch (kind) {

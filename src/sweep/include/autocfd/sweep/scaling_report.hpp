@@ -13,8 +13,8 @@
 // Serialized as versioned, deterministic JSON (fixed key order,
 // json_number formatting) so that write -> read -> write is
 // byte-identical and CI can diff sweeps, plus a text rendering with
-// ASCII efficiency curves. Read back via plan::json_reader, the
-// same reader the planner uses for run reports.
+// ASCII efficiency curves. Read back via support/json, the same
+// reader the planner uses for run reports.
 #pragma once
 
 #include <optional>

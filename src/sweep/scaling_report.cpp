@@ -5,13 +5,12 @@
 #include <iomanip>
 #include <sstream>
 
-#include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
+#include "autocfd/support/json.hpp"
 
 namespace autocfd::sweep {
 
-using obs::json_escape;
-using obs::json_number;
+using support::json_escape;
+using support::json_number;
 
 // --------------------------------------------------------------- JSON
 
@@ -113,28 +112,11 @@ std::string ScalingReport::json() const {
 
 std::optional<ScalingReport> ScalingReport::parse(std::string_view text,
                                                   std::string* error) {
-  const auto root = plan::parse_json(text, error);
-  if (!root) {
-    if (error != nullptr) *error = "scaling report: " + *error;
-    return std::nullopt;
-  }
-  if (root->kind != plan::JsonValue::Kind::Object) {
-    if (error != nullptr) {
-      *error = "scaling report: top level is not an object";
-    }
-    return std::nullopt;
-  }
+  const auto root = support::parse_json_document(
+      text, "scaling report", kScalingReportSchemaVersion,
+      "re-generate the sweep with this build's `acfd --sweep`", error);
+  if (!root) return std::nullopt;
   ScalingReport rep;
-  rep.schema_version = static_cast<int>(root->int_or("schema_version", 0));
-  if (rep.schema_version != kScalingReportSchemaVersion) {
-    if (error != nullptr) {
-      *error = "scaling report schema_version " +
-               std::to_string(rep.schema_version) + " (this build expects " +
-               std::to_string(kScalingReportSchemaVersion) +
-               "); re-generate the sweep with this build's `acfd --sweep`";
-    }
-    return std::nullopt;
-  }
   rep.title = root->str_or("title", "");
   rep.strategy = root->str_or("strategy", "");
   rep.fault_spec = root->str_or("fault_spec", "");
@@ -182,7 +164,7 @@ std::optional<ScalingReport> ScalingReport::parse(std::string_view text,
     trend.kind = t.str_or("kind", "");
     trend.label = t.str_or("label", "");
     for (const auto& v : t.list("shares")) {
-      if (v.kind == plan::JsonValue::Kind::Number) {
+      if (v.kind == support::JsonValue::Kind::Number) {
         trend.shares.push_back(v.number);
       }
     }

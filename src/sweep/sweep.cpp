@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,9 +11,8 @@
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/ledger/record_builders.hpp"
 #include "autocfd/mp/recovery.hpp"
-#include "autocfd/obs/json_util.hpp"
-#include "autocfd/plan/json_reader.hpp"
 #include "autocfd/plan/planner.hpp"
+#include "autocfd/support/json.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::sweep {
@@ -21,35 +21,27 @@ namespace autocfd::sweep {
 
 std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
                                           std::string* error) {
-  const auto root = plan::parse_json(text, error);
-  if (!root) {
-    if (error != nullptr) *error = "sweep spec: " + *error;
-    return std::nullopt;
-  }
-  if (root->kind != plan::JsonValue::Kind::Object) {
-    if (error != nullptr) *error = "sweep spec: top level is not an object";
-    return std::nullopt;
-  }
+  const auto root = support::parse_json_document(
+      text, "sweep spec", kSweepSpecSchemaVersion,
+      "set \"schema_version\": " + std::to_string(kSweepSpecSchemaVersion) +
+          " and check the spec's fields against autocfd/sweep/sweep.hpp",
+      error);
+  if (!root) return std::nullopt;
   SweepSpec spec;
-  spec.schema_version = static_cast<int>(root->int_or("schema_version", 0));
-  if (spec.schema_version != kSweepSpecSchemaVersion) {
-    if (error != nullptr) {
-      *error = "sweep spec schema_version " +
-               std::to_string(spec.schema_version) +
-               " (this build expects " +
-               std::to_string(kSweepSpecSchemaVersion) +
-               "); set \"schema_version\": " +
-               std::to_string(kSweepSpecSchemaVersion) +
-               " and check the spec's fields against "
-               "autocfd/sweep/sweep.hpp";
-    }
-    return std::nullopt;
-  }
   spec.title = root->str_or("title", "");
   spec.ranks.clear();
   for (const auto& v : root->list("ranks")) {
-    if (v.kind != plan::JsonValue::Kind::Number) continue;
-    spec.ranks.push_back(static_cast<int>(v.number));
+    const bool number = v.kind == support::JsonValue::Kind::Number;
+    const auto n = number ? support::exact_int(v.number) : std::nullopt;
+    if (!n || *n < 1 || *n > std::numeric_limits<int>::max()) {
+      if (error != nullptr) {
+        *error = "sweep spec: rank count " +
+                 (number ? support::json_number(v.number) : "(not a number)") +
+                 (n && *n < 1 ? " is not positive" : " is not an int");
+      }
+      return std::nullopt;
+    }
+    spec.ranks.push_back(static_cast<int>(*n));
   }
   if (spec.ranks.empty()) {
     if (error != nullptr) {
@@ -57,17 +49,8 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
     }
     return std::nullopt;
   }
-  for (const int r : spec.ranks) {
-    if (r < 1) {
-      if (error != nullptr) {
-        *error = "sweep spec: rank count " + std::to_string(r) +
-                 " is not positive";
-      }
-      return std::nullopt;
-    }
-  }
   if (const auto* parts = root->find("partitions");
-      parts != nullptr && parts->kind == plan::JsonValue::Kind::Object) {
+      parts != nullptr && parts->kind == support::JsonValue::Kind::Object) {
     for (const auto& [key, value] : parts->fields) {
       int nranks = 0;
       try {
@@ -81,7 +64,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
       }
       auto& shapes = spec.partitions[nranks];
       for (const auto& shape : value.items) {
-        if (shape.kind == plan::JsonValue::Kind::String) {
+        if (shape.kind == support::JsonValue::Kind::String) {
           shapes.push_back(shape.string);
         }
       }
@@ -90,7 +73,7 @@ std::optional<SweepSpec> SweepSpec::parse(std::string_view text,
   if (root->find("engines") != nullptr) {
     spec.engines.clear();
     for (const auto& v : root->list("engines")) {
-      if (v.kind == plan::JsonValue::Kind::String) {
+      if (v.kind == support::JsonValue::Kind::String) {
         spec.engines.push_back(v.string);
       }
     }
@@ -129,7 +112,7 @@ std::string SweepSpec::json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema_version\": " << schema_version << ",\n";
-  os << "  \"title\": \"" << obs::json_escape(title) << "\",\n";
+  os << "  \"title\": \"" << support::json_escape(title) << "\",\n";
   os << "  \"ranks\": [";
   for (std::size_t i = 0; i < ranks.size(); ++i) {
     os << (i > 0 ? ", " : "") << ranks[i];
@@ -140,7 +123,7 @@ std::string SweepSpec::json() const {
   for (const auto& [nranks, shapes] : partitions) {
     os << (first ? "" : ", ") << "\"" << nranks << "\": [";
     for (std::size_t i = 0; i < shapes.size(); ++i) {
-      os << (i > 0 ? ", " : "") << "\"" << obs::json_escape(shapes[i])
+      os << (i > 0 ? ", " : "") << "\"" << support::json_escape(shapes[i])
          << "\"";
     }
     os << "]";
@@ -149,12 +132,12 @@ std::string SweepSpec::json() const {
   os << "},\n";
   os << "  \"engines\": [";
   for (std::size_t i = 0; i < engines.size(); ++i) {
-    os << (i > 0 ? ", " : "") << "\"" << obs::json_escape(engines[i]) << "\"";
+    os << (i > 0 ? ", " : "") << "\"" << support::json_escape(engines[i]) << "\"";
   }
   os << "],\n";
-  os << "  \"strategy\": \"" << obs::json_escape(strategy) << "\",\n";
-  os << "  \"faults\": \"" << obs::json_escape(faults) << "\",\n";
-  os << "  \"recovery\": \"" << obs::json_escape(recovery) << "\",\n";
+  os << "  \"strategy\": \"" << support::json_escape(strategy) << "\",\n";
+  os << "  \"faults\": \"" << support::json_escape(faults) << "\",\n";
+  os << "  \"recovery\": \"" << support::json_escape(recovery) << "\",\n";
   os << "  \"sequential_baseline\": "
      << (sequential_baseline ? "true" : "false") << ",\n";
   os << "  \"plan\": " << (plan ? "true" : "false") << ",\n";

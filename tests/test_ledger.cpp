@@ -16,9 +16,11 @@
 //     rotation renames a grown ledger aside exactly when asked.
 //   * The builders distill real artifacts: a finished run report, a
 //     bench sidecar (file and maps), and a sweep appends one coherent
-//     record per cell.
+//     record per cell. Every committed sidecar re-writes
+//     byte-identically, and a non-finite value is never written.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -142,6 +144,17 @@ TEST(LedgerReader, ForeignSchemaVersionIsSkippedWithActionableWarning) {
       << result.warnings[0];
   EXPECT_NE(result.warnings[0].find("re-record or migrate"),
             std::string::npos);
+}
+
+TEST(LedgerReader, DeeplyNestedLineIsSkippedWithAWarning) {
+  const std::string text = std::string(200000, '[') + "\n" +
+                           make_rec("a", 1.0).json() + "\n";
+  const auto result = parse_ledger(text, "led.jsonl");
+  ASSERT_EQ(result.records.size(), 1u);
+  ASSERT_EQ(result.warnings.size(), 1u);
+  EXPECT_NE(result.warnings[0].find("led.jsonl:1: record: nested too deeply"),
+            std::string::npos)
+      << result.warnings[0];
 }
 
 TEST(LedgerReader, BlankLinesAreFreeAndMissingFileIsOneWarning) {
@@ -403,7 +416,7 @@ TEST(RecordBuilders, LiftsSidecarMetaIntoIdentity) {
       {"meta.engine", "tree"},
       {"meta.machine", "pentium_ethernet_1999"},
       {"hot.0.class", "A"}};
-  const auto rec = record_from_sidecar("fig_x", numbers, strings);
+  const auto rec = record_from_sidecar("fig_x", {numbers, strings});
   EXPECT_EQ(rec.kind, "bench");
   EXPECT_EQ(rec.input, "fig_x");
   EXPECT_EQ(rec.build_type, "Debug");
@@ -431,6 +444,37 @@ TEST(RecordBuilders, ReadsASidecarFileAndStripsThePrefix) {
   EXPECT_FALSE(
       record_from_sidecar_file(temp_path("missing.json"), &error));
   EXPECT_NE(error.find("missing.json"), std::string::npos);
+}
+
+TEST(RecordBuilders, CommittedSidecarsRewriteByteIdentically) {
+  for (const char* name :
+       {"BENCH_fig_interp_engine.json", "BENCH_fig_overlap.json",
+        "BENCH_fig_planner.json", "BENCH_fig_recovery.json",
+        "BENCH_fig_scaling.json"}) {
+    const std::string committed = std::string(AUTOCFD_SOURCE_DIR) + "/" + name;
+    std::string error;
+    const auto sidecar = read_sidecar(committed, &error);
+    ASSERT_TRUE(sidecar.has_value()) << error;
+    const std::string copy = temp_path(name);
+    ASSERT_FALSE(write_sidecar(copy, *sidecar).has_value());
+    EXPECT_EQ(read_file(copy), read_file(committed)) << name;
+  }
+}
+
+TEST(RecordBuilders, SidecarWriterRefusesNonFiniteValues) {
+  const std::string path = temp_path("BENCH_fig_nonfinite.json");
+  std::remove(path.c_str());
+  Sidecar sidecar;
+  sidecar.numbers = {{"a.elapsed_s", std::nan("")},
+                     {"b.speedup", 2.0},
+                     {"c.wait_s", -HUGE_VAL}};
+  sidecar.strings = {{"b.speedup", "fast"}};
+  const auto error = write_sidecar(path, sidecar);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_NE(error->find("a.elapsed_s = nan"), std::string::npos) << *error;
+  EXPECT_NE(error->find("c.wait_s = -inf"), std::string::npos) << *error;
+  EXPECT_NE(error->find("b.speedup is both"), std::string::npos) << *error;
+  EXPECT_FALSE(fs::exists(path));
 }
 
 // ----------------------------------------------------- sweep producer

@@ -4,37 +4,17 @@
 // phase wall times accounting for the pipeline total).
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 #include <sstream>
 
 #include "autocfd/cfd/apps.hpp"
 #include "autocfd/core/pipeline.hpp"
-#include "autocfd/obs/json_util.hpp"
 #include "autocfd/obs/obs.hpp"
 #include "autocfd/trace/metrics_bridge.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd {
 namespace {
-
-// ---------------------------------------------------------------------------
-// JSON helpers
-// ---------------------------------------------------------------------------
-
-TEST(JsonUtil, EscapesControlAndQuoteCharacters) {
-  EXPECT_EQ(obs::json_escape("plain"), "plain");
-  EXPECT_EQ(obs::json_escape("a\"b\\c"), "a\\\"b\\\\c");
-  EXPECT_EQ(obs::json_escape("x\ny\t"), "x\\ny\\t");
-  EXPECT_EQ(obs::json_escape(std::string("\x01", 1)), "\\u0001");
-}
-
-TEST(JsonUtil, NumbersAreAlwaysValidJson) {
-  EXPECT_EQ(obs::json_number(2.0), "2");
-  EXPECT_EQ(obs::json_number(std::nan("")), "0");
-  // Infinities are clamped to finite values, never "inf".
-  EXPECT_EQ(obs::json_number(HUGE_VAL).find("inf"), std::string::npos);
-}
 
 // ---------------------------------------------------------------------------
 // Histogram / MetricsRegistry

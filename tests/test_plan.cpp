@@ -3,7 +3,8 @@
 //   * Foreign run reports are rejected by schema version with an
 //     actionable diagnostic, never misread.
 //   * A PlanFile is deterministic: write -> read -> write is
-//     byte-identical, so CI can diff plans.
+//     byte-identical, so CI can diff plans. A mutated plan file or
+//     sidecar reads back as a value or a diagnostic, never a crash.
 //   * The communication model is calibrated: per halo site, the
 //     model's predicted transfer cost matches the measured bill.
 //   * Planning is a fixed point: re-planning from a planned run's
@@ -13,6 +14,7 @@
 //     and planned runs stay bit-identical across both engines.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <sstream>
 
@@ -23,6 +25,7 @@
 #include "autocfd/plan/plan_input.hpp"
 #include "autocfd/plan/planner.hpp"
 #include "autocfd/prof/report.hpp"
+#include "autocfd/support/json.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::plan {
@@ -141,6 +144,73 @@ TEST(PlanFile, ParseRejectsSchemaMismatch) {
       PlanFile::parse(R"({"schema_version": 99, "partition": "2x2"})", &error);
   EXPECT_FALSE(plan.has_value());
   EXPECT_NE(error.find("schema_version"), std::string::npos) << error;
+}
+
+// Malformed input ends in a diagnostic, never a crash: every
+// truncation and every single-byte replacement (from a fixed byte set)
+// of `doc` reads back as a value or an error message.
+template <typename Read>
+void expect_value_or_diagnostic(const std::string& doc, Read read) {
+  static const std::string kBytes("\"\\[]{},:-0e\0\xff", 13);
+  int failures = 0;
+  std::string first;
+  const auto check = [&](const std::string& text) {
+    std::string error;
+    if (!read(text, &error) && error.empty() && failures++ == 0) {
+      first = text;
+    }
+  };
+  for (std::size_t n = 0; n < doc.size(); ++n) check(doc.substr(0, n));
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    for (const char b : kBytes) {
+      std::string mutated = doc;
+      mutated[i] = b;
+      check(mutated);
+    }
+  }
+  EXPECT_EQ(failures, 0) << "first silent failure on:\n" << first;
+}
+
+TEST(JsonMutation, CommittedSidecarEndsInValueOrDiagnostic) {
+  std::ifstream in(std::string(AUTOCFD_SOURCE_DIR) +
+                   "/BENCH_fig_planner.json");
+  std::ostringstream doc;
+  doc << in.rdbuf();
+  ASSERT_FALSE(doc.str().empty());
+  expect_value_or_diagnostic(doc.str(), [](const std::string& text,
+                                           std::string* error) {
+    return support::parse_json(text, error).has_value();
+  });
+}
+
+TEST(JsonMutation, PlanFileEndsInValueOrDiagnostic) {
+  PlanFile plan;
+  plan.planned_from = "aerofoil \"q\"";
+  plan.nranks = 4;
+  plan.partition = "1x4x1";
+  plan.strategy = "min";
+  plan.static_partition = "2x2x1";
+  plan.static_strategy = "min";
+  plan.predicted_s = 0.87752499199999812;
+  plan.static_predicted_s = 1.3430533119999981;
+  plan.rationale = "chose 1x4x1 (min)";
+  plan.decisions = {"pipeline u dim0+", "tab\there"};
+  PlanFile::Candidate chosen;
+  chosen.partition = "1x4x1";
+  chosen.strategy = "min";
+  chosen.predicted_s = 0.5;
+  chosen.syncs_after = 12;
+  chosen.chosen = true;
+  PlanFile::Candidate rejected;
+  rejected.partition = "4x1x1";
+  rejected.strategy = "none";
+  rejected.feasible = false;
+  rejected.note = "too thin";
+  plan.candidates = {chosen, rejected};
+  expect_value_or_diagnostic(plan.json(), [](const std::string& text,
+                                             std::string* error) {
+    return PlanFile::parse(text, error).has_value();
+  });
 }
 
 // Cost-model calibration: per halo sync site, the model prices the

@@ -127,6 +127,30 @@ TEST(SweepSpec, RejectsEmptyOrInvalidRanks) {
   EXPECT_NE(error.find("not positive"), std::string::npos) << error;
 }
 
+TEST(SweepSpec, RejectsNonIntegerRanksAndVersions) {
+  for (const char* ranks : {"2.5", "4294967298", "-1e300", "\"2\"", "null"}) {
+    std::string error;
+    EXPECT_FALSE(SweepSpec::parse(std::string(R"({"schema_version": 1, )") +
+                                      "\"ranks\": [" + ranks + "]}",
+                                  &error))
+        << ranks;
+    EXPECT_NE(error.find("rank count"), std::string::npos) << error;
+  }
+  std::string error;
+  EXPECT_FALSE(SweepSpec::parse(R"({"schema_version": 1, "ranks": [2.5]})",
+                                &error));
+  EXPECT_EQ(error, "sweep spec: rank count 2.5 is not an int");
+  for (const char* version : {"1.5", "4294967297"}) {
+    EXPECT_FALSE(SweepSpec::parse(std::string(R"({"schema_version": )") +
+                                      version + R"(, "ranks": [1]})",
+                                  &error))
+        << version;
+    EXPECT_NE(error.find(std::string("schema_version ") + version),
+              std::string::npos)
+        << error;
+  }
+}
+
 TEST(SweepSpec, JsonRoundTrips) {
   SweepSpec spec;
   spec.title = "round trip";
