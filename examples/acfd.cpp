@@ -4,7 +4,6 @@
 //        [--strategy min|pairwise|none] [--run] [--analyze]
 //        [--report[=json|text|html]] [--report-out r.json]
 //        [--trace=t.json] [--explain[=text|json]] [--profile]
-//        [--metrics-out m.json]
 //        [--faults=SPEC] [--recovery[=SPEC]] [--watchdog=SEC]
 //        [--plan-from=report.json --plan-out=plan.json] [--plan=plan.json]
 //        [--sweep=spec.json --sweep-out=scaling.json [--sweep-format=FMT]]
@@ -24,9 +23,6 @@
 //                      round-trips.
 //   --profile          print the pass profile (per-phase wall time and
 //                      counters).
-//   --metrics-out F    write the unified metrics registry (compile
-//                      phases; plus per-rank runtime histograms when
-//                      --run is given) as JSON to F.
 //   --report[=FMT]     execute (implies --run) with source-attributed
 //                      profiling on and emit the unified run report —
 //                      compile decisions joined with per-loop runtime
@@ -98,7 +94,6 @@
 #include "autocfd/support/output_paths.hpp"
 #include "autocfd/sweep/sweep.hpp"
 #include "autocfd/trace/export.hpp"
-#include "autocfd/trace/metrics_bridge.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace {
@@ -127,7 +122,6 @@ void usage() {
       "                     (json: the log goes to stdout alone, human\n"
       "                     output to stderr)\n"
       "  --profile          print per-phase wall times and counters\n"
-      "  --metrics-out F    write unified metrics JSON to F\n"
       "  --faults=SPEC      chaos-test the run under a seeded fault plan,\n"
       "                     e.g. seed=7,jitter=0.3:0.05,straggler=1:2\n"
       "                     (see fault::FaultPlan::parse)\n"
@@ -172,7 +166,6 @@ int main(int argc, char** argv) {
   std::string input_path = has_input ? argv[1] : "";
   std::string output_path;
   std::string partition_arg;
-  std::string metrics_path;
   std::string report_path;
   std::string trace_path;
   bool want_report = false;
@@ -247,8 +240,6 @@ int main(int argc, char** argv) {
       explain = explain_json = true;
     } else if (arg == "--profile") {
       profile = true;
-    } else if (arg == "--metrics-out") {
-      metrics_path = next();
     } else if (arg.rfind("--faults=", 0) == 0) {
       faults_spec = arg.substr(9);
     } else if (arg == "--faults") {
@@ -487,9 +478,6 @@ int main(int argc, char** argv) {
   {
     std::vector<support::OutputPath> outputs;
     if (!analyze_only) outputs.push_back({"-o", output_path});
-    if (!metrics_path.empty()) {
-      outputs.push_back({"--metrics-out", metrics_path});
-    }
     if (!report_path.empty()) {
       outputs.push_back({"--report-out", report_path});
     }
@@ -623,8 +611,7 @@ int main(int argc, char** argv) {
 
     obs::ObsContext obs;
     const bool want_ledger = !ledger_path.empty();
-    const bool want_obs = explain || profile || !metrics_path.empty() ||
-                          want_report || want_ledger;
+    const bool want_obs = explain || profile || want_report || want_ledger;
     auto program =
         core::parallelize(source, dirs, strategy, want_obs ? &obs : nullptr,
                           plan_overrides ? &*plan_overrides : nullptr);
@@ -659,10 +646,9 @@ int main(int argc, char** argv) {
       const auto machine = mp::MachineConfig::pentium_ethernet_1999();
       trace::TraceRecorder recorder;
       codegen::SpmdRunOptions run_opts;
-      run_opts.sink = metrics_path.empty() && !want_report &&
-                              !want_ledger && trace_path.empty()
-                          ? nullptr
-                          : &recorder;
+      run_opts.sink =
+          want_report || want_ledger || !trace_path.empty() ? &recorder
+                                                             : nullptr;
       run_opts.faults = faults_spec.empty() ? nullptr : &injector;
       run_opts.watchdog = watchdog;
       run_opts.engine = engine;
@@ -720,13 +706,6 @@ int main(int argc, char** argv) {
                      run_opts.recovery.str().c_str(), retransmits, recovered,
                      recovery_s);
       }
-      if (!metrics_path.empty()) {
-        trace::trace_to_metrics(recorder.trace(), obs.metrics);
-        if (!faults_spec.empty()) injector.export_metrics(obs.metrics);
-        for (const auto& [key, value] : par.engine_stats.items()) {
-          obs.metrics.add(std::string("engine.bytecode.") + key, value);
-        }
-      }
       std::optional<prof::RunReport> run_report;
       if (want_report || want_ledger) {
         prof::ReportOptions ropts;
@@ -739,9 +718,6 @@ int main(int argc, char** argv) {
         ropts.recovery_enabled = recovery_on;
         run_report = prof::build_run_report(
             *program, par, recorder.trace(), &obs.provenance, ropts);
-        if (!metrics_path.empty()) {
-          prof::profile_to_metrics(run_report->profile, obs.metrics);
-        }
       }
       if (want_report) {
         if (report_path.empty()) {
@@ -827,18 +803,6 @@ int main(int argc, char** argv) {
       std::ostringstream os;
       obs.provenance.write_json(os);
       std::fprintf(stdout, "%s\n", os.str().c_str());
-    }
-    if (!metrics_path.empty()) {
-      obs.export_profile_to_metrics();
-      std::ofstream mos(metrics_path);
-      obs.metrics.write_json(mos);
-      mos.flush();
-      if (!mos) {
-        std::fprintf(stderr, "acfd: cannot write metrics file '%s'\n",
-                     metrics_path.c_str());
-        return 1;
-      }
-      std::fprintf(chat, "acfd: wrote %s\n", metrics_path.c_str());
     }
   } catch (const mp::CommError& e) {
     // A detected runtime fault (watchdog timeout, checksum mismatch):

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "autocfd/obs/metrics.hpp"
-
 namespace autocfd::fault {
 namespace {
 
@@ -307,13 +305,6 @@ double FaultInjector::compute_factor(int rank) {
     if (s.rank == rank) factor *= s.factor;
   }
   return factor;
-}
-
-void FaultInjector::export_metrics(obs::MetricsRegistry& registry) const {
-  registry.add("fault.injected.delayed", counters_.delayed);
-  registry.add("fault.injected.dropped", counters_.dropped);
-  registry.add("fault.injected.corrupted", counters_.corrupted);
-  registry.set_gauge("fault.injected.delay_s", counters_.delay_s);
 }
 
 }  // namespace autocfd::fault

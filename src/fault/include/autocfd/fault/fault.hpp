@@ -21,10 +21,6 @@
 
 #include "autocfd/mp/fault_hook.hpp"
 
-namespace autocfd::obs {
-class MetricsRegistry;
-}
-
 namespace autocfd::fault {
 
 /// Selects messages by identity; -1 fields are wildcards. `msg_id` is
@@ -114,11 +110,6 @@ class FaultInjector : public mp::FaultHook {
   [[nodiscard]] const FaultPlan& plan() const { return plan_; }
   [[nodiscard]] const FaultCounters& counters() const { return counters_; }
   void reset() { counters_ = FaultCounters{}; }
-
-  /// Publishes counters as `fault.injected.*` metrics (the trace ->
-  /// metrics bridge independently derives `fault.*` from the event
-  /// stream; equality of the two is a consistency check).
-  void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
   FaultPlan plan_;

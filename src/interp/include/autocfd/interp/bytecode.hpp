@@ -119,8 +119,8 @@ struct WalkDesc {
 
 enum class ExecSignal { Normal, Return, Stop };
 
-/// Compile/cache counters, surfaced through the obs metrics registry
-/// as `engine.bytecode.*` by the CLI and the benches.
+/// Compile/cache counters, surfaced in the run report's engine_stats
+/// block and as `engine.bytecode.*` ledger keys.
 struct EngineStats {
   long long kernels_compiled = 0;  // DO statements compiled to kernels
   long long stmts_compiled = 0;    // standalone assignments compiled
@@ -141,7 +141,7 @@ struct EngineStats {
     return *this;
   }
 
-  /// Name/value pairs for metrics export (stable order).
+  /// Name/value pairs for the run report (stable order).
   [[nodiscard]] std::vector<std::pair<const char*, long long>> items() const {
     return {{"kernels_compiled", kernels_compiled},
             {"stmts_compiled", stmts_compiled},

@@ -1,6 +1,6 @@
 // Builders that distill the repository's existing observability
 // artifacts into ledger RunRecords: a finished prof::RunReport (plus
-// the compile-side ObsContext), and a bench binary's flat sidecar
+// the compile-side pass profile), and a bench binary's flat sidecar
 // maps. The sweep layer builds its per-cell records on top of
 // make_run_record and adds the scaling figures itself, so the ledger
 // stays independent of src/sweep.
@@ -13,10 +13,12 @@
 #include "autocfd/ledger/ledger.hpp"
 
 namespace autocfd::obs {
+class PassProfiler;
 struct ObsContext;
 }
 namespace autocfd::prof {
 struct RunReport;
+struct SourceProfile;
 }
 
 namespace autocfd::ledger {
@@ -31,12 +33,24 @@ struct RunMeta {
   long long seed = 0;  // fault-plan seed, 0 when clean
 };
 
+/// The phase.* / hot.N.* key convention, shared by run records and
+/// bench sidecars. `passes` (nullable) adds "phase.<name>.wall_s" and
+/// "phase.<name>.<counter>" per phase plus "phase.total.wall_s";
+/// `profile` (nullable) adds the five hottest attribution units as
+/// "hot.<i>.line" / ".time_s" / ".share" numbers and a ".class" string
+/// (the explain engine's A/R/C/O letters, "?" for an unclassified loop,
+/// "-" for a plain statement). Existing keys are overwritten.
+void record_profile_keys(const obs::PassProfiler* passes,
+                         const prof::SourceProfile* profile,
+                         std::map<std::string, double>& numbers,
+                         std::map<std::string, std::string>& strings);
+
 /// Distills one execution. `report` (nullable) contributes the runtime
 /// block — elapsed/speedup, rank-time decomposition, wire totals,
-/// recovery rollup, top-5 hot loops, compile summary, partition and
-/// engine identity; `obs` (nullable) contributes the pass-profiler
-/// phases and the metrics-registry snapshot. With both null the record
-/// carries meta only — still a valid (if silent) history point.
+/// recovery and fault rollups, bytecode engine counters, top-5 hot
+/// loops, compile summary, partition and engine identity; `obs`
+/// (nullable) contributes the pass-profiler phases. With both null the
+/// record carries meta only — still a valid (if silent) history point.
 [[nodiscard]] RunRecord make_run_record(const RunMeta& meta,
                                         const prof::RunReport* report,
                                         const obs::ObsContext* obs);

@@ -12,6 +12,33 @@
 
 namespace autocfd::ledger {
 
+void record_profile_keys(const obs::PassProfiler* passes,
+                         const prof::SourceProfile* profile,
+                         std::map<std::string, double>& numbers,
+                         std::map<std::string, std::string>& strings) {
+  if (passes != nullptr) {
+    for (const auto& phase : passes->phases()) {
+      numbers["phase." + phase.name + ".wall_s"] = phase.wall_s;
+      for (const auto& [key, value] : phase.counters) {
+        numbers["phase." + phase.name + "." + key] = value;
+      }
+    }
+    numbers["phase.total.wall_s"] = passes->total_wall_s();
+  }
+  if (profile != nullptr) {
+    const auto hot = profile->hottest(5);
+    for (std::size_t i = 0; i < hot.size(); ++i) {
+      const std::string prefix = "hot." + std::to_string(i);
+      numbers[prefix + ".line"] = static_cast<double>(hot[i]->loc.line);
+      numbers[prefix + ".time_s"] = hot[i]->time_s;
+      numbers[prefix + ".share"] = hot[i]->share;
+      strings[prefix + ".class"] =
+          hot[i]->loop_class.empty() ? (hot[i]->is_loop ? "?" : "-")
+                                     : hot[i]->loop_class;
+    }
+  }
+}
+
 RunRecord make_run_record(const RunMeta& meta,
                           const prof::RunReport* report,
                           const obs::ObsContext* obs) {
@@ -71,6 +98,16 @@ RunRecord make_run_record(const RunMeta& meta,
       rec.metrics["recovery.recovery_s"] = recovery;
     }
 
+    const auto& faults = report->faults;
+    rec.metrics["fault.delayed"] = static_cast<double>(faults.delayed);
+    rec.metrics["fault.dropped"] = static_cast<double>(faults.dropped);
+    rec.metrics["fault.corrupted"] = static_cast<double>(faults.corrupted);
+    rec.metrics["fault.timeouts"] = static_cast<double>(faults.timeouts);
+    rec.metrics["fault.delay_s"] = faults.delay_s;
+    for (const auto& [name, value] : report->engine_stats) {
+      rec.metrics["engine.bytecode." + name] = static_cast<double>(value);
+    }
+
     // Compile summary: the decisions whose runtime cost the trend
     // lines explain.
     rec.metrics["compile.field_loops"] = report->compile.field_loops;
@@ -84,46 +121,13 @@ RunRecord make_run_record(const RunMeta& meta,
         report->compile.pipelined_loops;
     rec.metrics["compile.mirror_image_loops"] =
         report->compile.mirror_image_loops;
-
-    // Top-5 hot loops, in the bench sidecars' hot.N.* convention.
-    const auto hot = report->profile.hottest(5);
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-      const std::string prefix = "hot." + std::to_string(i);
-      rec.metrics[prefix + ".line"] =
-          static_cast<double>(hot[i]->loc.line);
-      rec.metrics[prefix + ".time_s"] = hot[i]->time_s;
-      rec.metrics[prefix + ".share"] = hot[i]->share;
-      rec.attrs[prefix + ".class"] =
-          hot[i]->loop_class.empty() ? (hot[i]->is_loop ? "?" : "-")
-                                     : hot[i]->loop_class;
-    }
   }
 
-  if (obs != nullptr) {
-    for (const auto& phase : obs->profiler.phases()) {
-      rec.metrics["phase." + phase.name + ".wall_s"] = phase.wall_s;
-      for (const auto& [key, value] : phase.counters) {
-        rec.metrics["phase." + phase.name + "." + key] = value;
-      }
-    }
-    rec.metrics["phase.total.wall_s"] = obs->profiler.total_wall_s();
-
-    // Metrics-registry snapshot: counters and gauges verbatim,
-    // histograms as their summary statistics.
-    for (const auto& [name, value] : obs->metrics.counters()) {
-      rec.metrics[name] = static_cast<double>(value);
-    }
-    for (const auto& [name, value] : obs->metrics.gauges()) {
-      rec.metrics[name] = value;
-    }
-    for (const auto& [name, hist] : obs->metrics.histograms()) {
-      rec.metrics[name + ".count"] = static_cast<double>(hist.count());
-      rec.metrics[name + ".sum"] = hist.sum();
-      rec.metrics[name + ".mean"] = hist.mean();
-      rec.metrics[name + ".min"] = hist.min();
-      rec.metrics[name + ".max"] = hist.max();
-    }
-  }
+  // Top-5 hot loops and the pass-profiler phases, in the bench
+  // sidecars' hot.N.* / phase.* convention.
+  record_profile_keys(obs != nullptr ? &obs->profiler : nullptr,
+                      report != nullptr ? &report->profile : nullptr,
+                      rec.metrics, rec.attrs);
   return rec;
 }
 

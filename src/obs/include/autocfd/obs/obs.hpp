@@ -1,10 +1,9 @@
 // One observability context for one pre-compiler invocation. Pass a
 // (possibly null) ObsContext* through core::parallelize to collect the
-// pass profile, the decision provenance and the unified metrics of the
-// run; a null context costs nothing on the hot paths.
+// pass profile and the decision provenance of the run; a null context
+// costs nothing on the hot paths.
 #pragma once
 
-#include "autocfd/obs/metrics.hpp"
 #include "autocfd/obs/profile.hpp"
 #include "autocfd/obs/provenance.hpp"
 
@@ -13,7 +12,6 @@ namespace autocfd::obs {
 struct ObsContext {
   PassProfiler profiler;
   ProvenanceLog provenance;
-  MetricsRegistry metrics;
 
   /// Provenance log of a nullable context (phases take ProvenanceLog*).
   [[nodiscard]] static ProvenanceLog* provenance_of(ObsContext* obs) {
@@ -22,10 +20,6 @@ struct ObsContext {
   [[nodiscard]] static PassProfiler* profiler_of(ObsContext* obs) {
     return obs != nullptr ? &obs->profiler : nullptr;
   }
-
-  /// Folds the pass profile into the metrics registry ("compile.*"
-  /// namespace) — call once after the pipeline finishes.
-  void export_profile_to_metrics() { profiler.to_metrics(metrics); }
 };
 
 }  // namespace autocfd::obs

@@ -18,8 +18,6 @@
 
 namespace autocfd::obs {
 
-class MetricsRegistry;
-
 /// One completed phase: wall time plus named counters.
 struct PhaseProfile {
   std::string name;
@@ -106,11 +104,6 @@ class PassProfiler {
 
   /// {"total_wall_s": ..., "phases": [{"name", "wall_s", "counters"}]}
   void write_json(std::ostream& os) const;
-
-  /// Exports into a metrics registry: gauge "compile.<phase>.wall_s"
-  /// and counter "compile.<phase>.<counter>" per entry, plus
-  /// "compile.total.wall_s".
-  void to_metrics(MetricsRegistry& reg) const;
 
  private:
   std::vector<PhaseProfile> phases_;

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "autocfd/obs/metrics.hpp"
 #include "autocfd/support/json.hpp"
 
 namespace autocfd::obs {
@@ -82,17 +81,6 @@ void PassProfiler::write_json(std::ostream& os) const {
     os << "}}";
   }
   os << "\n]}";
-}
-
-void PassProfiler::to_metrics(MetricsRegistry& reg) const {
-  reg.set_gauge("compile.total.wall_s", total_wall_s_);
-  for (const auto& p : phases_) {
-    reg.set_gauge("compile." + p.name + ".wall_s", p.wall_s);
-    for (const auto& [key, value] : p.counters) {
-      reg.add("compile." + p.name + "." + key,
-              static_cast<std::int64_t>(value));
-    }
-  }
 }
 
 }  // namespace autocfd::obs

@@ -1,7 +1,8 @@
 // Unified run report: one artifact joining what the pre-compiler
 // decided (core::Report, explain-engine provenance) with what those
 // decisions cost at runtime (source-attributed profile, communication
-// matrix, per-rank time decomposition, per-site communication cost).
+// matrix, per-rank time decomposition, per-site communication cost,
+// fault and recovery rollups, bytecode engine counters).
 // Deterministic JSON for tools/CI, plus text and self-contained HTML
 // views for humans (the repository's one HTML renderer). Emitted by
 // `acfd --report[=json|text|html]`.
@@ -10,6 +11,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "autocfd/core/pipeline.hpp"
@@ -25,8 +27,9 @@ namespace autocfd::prof {
 /// History: 1 = PR5's unversioned layout; 2 adds schema_version itself
 /// and the compile-block "strategy"; 3 adds reliable-delivery recovery
 /// accounting (recovery_s on ranks/cells/sites, retransmits on cells,
-/// and the top-level "recovery" block).
-inline constexpr int kRunReportSchemaVersion = 3;
+/// and the top-level "recovery" block); 4 adds the "engine_stats" and
+/// "faults" blocks, so the report carries every per-run number.
+inline constexpr int kRunReportSchemaVersion = 4;
 
 /// One sync-plan site's end-to-end communication bill, joining the
 /// TagRegistry entry with the traffic the trace attributed to it and
@@ -55,6 +58,17 @@ struct RecoverySummary {
   double recovery_s = 0.0;    // summed recovery wait across ranks
 };
 
+/// Fault-injection rollup of the run: trace-derived like
+/// RecoverySummary, so it reconciles with the injector's counters
+/// (all zero on a clean run).
+struct FaultSummary {
+  long long delayed = 0;    // FaultDelay events
+  long long dropped = 0;    // FaultDrop events
+  long long corrupted = 0;  // FaultCorrupt events
+  long long timeouts = 0;   // Timeout events
+  double delay_s = 0.0;     // summed injected transfer delay
+};
+
 struct RunReport {
   std::string title;      // input name ("aerofoil", path stem, ...)
   std::string partition;  // PartitionSpec::str(), e.g. "2x2"
@@ -72,6 +86,10 @@ struct RunReport {
   CommMatrix comm;
   std::vector<SiteCost> sites;                // sorted by site id
   RecoverySummary recovery;                   // reliable-delivery rollup
+  FaultSummary faults;                        // fault-injection rollup
+  /// Bytecode engine counters summed over ranks, in
+  /// EngineStats::items() order (all zero under the tree engine).
+  std::vector<std::pair<std::string, long long>> engine_stats;
 
   [[nodiscard]] std::optional<double> speedup() const {
     if (!seq_elapsed_s || elapsed_s <= 0.0) return std::nullopt;

@@ -8,14 +8,13 @@
 // min/max and an imbalance factor, and joins the pre-compiler's
 // explain engine so every hot loop carries its A/R/C/O taxonomy class
 // and self-dependence verdict. Entries are sorted by source position,
-// so every derived view (JSON, text, metrics) is deterministic.
+// so every derived view (JSON, text, HTML) is deterministic.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "autocfd/interp/stmt_profile.hpp"
-#include "autocfd/obs/metrics.hpp"
 #include "autocfd/obs/provenance.hpp"
 
 namespace autocfd::prof {
@@ -72,10 +71,5 @@ struct SourceProfile {
 /// A/R/C/O classes, SelfDependence entries the self-dep flag, matched
 /// by source line.
 void attach_provenance(SourceProfile& profile, const obs::ProvenanceLog& log);
-
-/// Exports the profile as `prof.*` metrics: totals, per-rank compute
-/// seconds, per-class time, and the hottest loop.
-void profile_to_metrics(const SourceProfile& profile,
-                        obs::MetricsRegistry& reg);
 
 }  // namespace autocfd::prof

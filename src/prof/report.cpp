@@ -86,13 +86,28 @@ RunReport build_run_report(const core::ParallelProgram& program,
   // the report uses so it reconciles exactly with the cells and ranks.
   report.recovery.enabled = options.recovery_enabled;
   for (const auto& b : report.ranks) report.recovery.recovery_s += b.recovery;
+  // The fault rollup comes from the same event streams.
+  auto& faults = report.faults;
   for (int r = 0; r < trace.nranks; ++r) {
     for (const auto& e : trace.per_rank[static_cast<std::size_t>(r)]) {
-      if (e.kind == mp::EventKind::Retransmit) ++report.recovery.retransmits;
-      if (e.kind == mp::EventKind::Recv && e.attempts > 1) {
-        ++report.recovery.recovered;
+      switch (e.kind) {
+        case mp::EventKind::Retransmit: ++report.recovery.retransmits; break;
+        case mp::EventKind::Recv:
+          if (e.attempts > 1) ++report.recovery.recovered;
+          break;
+        case mp::EventKind::FaultDelay:
+          ++faults.delayed;
+          faults.delay_s += e.wait;
+          break;
+        case mp::EventKind::FaultDrop: ++faults.dropped; break;
+        case mp::EventKind::FaultCorrupt: ++faults.corrupted; break;
+        case mp::EventKind::Timeout: ++faults.timeouts; break;
+        default: break;
       }
     }
+  }
+  for (const auto& [name, value] : run.engine_stats.items()) {
+    report.engine_stats.emplace_back(name, value);
   }
   return report;
 }
@@ -242,6 +257,20 @@ void write_report_json(const RunReport& report, std::ostream& os) {
      << ", \"retransmits\": " << rec.retransmits
      << ", \"recovered\": " << rec.recovered
      << ", \"recovery_s\": " << json_number(rec.recovery_s) << "},\n";
+
+  const auto& f = report.faults;
+  os << "  \"faults\": {\"delayed\": " << f.delayed
+     << ", \"dropped\": " << f.dropped << ", \"corrupted\": " << f.corrupted
+     << ", \"timeouts\": " << f.timeouts
+     << ", \"delay_s\": " << json_number(f.delay_s) << "},\n";
+
+  os << "  \"engine_stats\": {";
+  const char* sep = "";
+  for (const auto& [name, value] : report.engine_stats) {
+    os << sep << "\"" << name << "\": " << value;
+    sep = ", ";
+  }
+  os << "},\n";
 
   os << "  \"sites\": [";
   for (std::size_t i = 0; i < report.sites.size(); ++i) {

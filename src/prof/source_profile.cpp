@@ -125,34 +125,4 @@ void attach_provenance(SourceProfile& profile, const obs::ProvenanceLog& log) {
   }
 }
 
-void profile_to_metrics(const SourceProfile& profile,
-                        obs::MetricsRegistry& reg) {
-  long long loops = 0;
-  std::map<std::string, double> class_time;
-  for (const auto& e : profile.entries) {
-    if (e.is_loop) ++loops;
-    const std::string cls = !e.loop_class.empty()
-                                ? e.loop_class
-                                : (e.is_loop ? "unclassified" : "stmt");
-    class_time[cls] += e.time_s;
-  }
-  reg.add("prof.units", static_cast<std::int64_t>(profile.entries.size()));
-  reg.add("prof.loops", loops);
-  reg.set_gauge("prof.compute_s", profile.total_seconds);
-  reg.set_gauge("prof.flops", profile.total_flops);
-  for (int r = 0; r < profile.nranks; ++r) {
-    reg.set_gauge("prof.rank." + std::to_string(r) + ".compute_s",
-                  profile.rank_seconds[static_cast<std::size_t>(r)]);
-  }
-  for (const auto& [cls, t] : class_time) {
-    reg.set_gauge("prof.class." + cls + ".time_s", t);
-  }
-  const auto hot = profile.hottest(1);
-  if (!hot.empty()) {
-    reg.set_gauge("prof.hot.line", static_cast<double>(hot[0]->loc.line));
-    reg.set_gauge("prof.hot.time_s", hot[0]->time_s);
-    reg.set_gauge("prof.hot.share", hot[0]->share);
-  }
-}
-
 }  // namespace autocfd::prof

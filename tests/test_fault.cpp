@@ -16,8 +16,7 @@
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fault/fault.hpp"
 #include "autocfd/fortran/parser.hpp"
-#include "autocfd/obs/metrics.hpp"
-#include "autocfd/trace/metrics_bridge.hpp"
+#include "autocfd/prof/report.hpp"
 #include "autocfd/trace/recorder.hpp"
 
 namespace autocfd::fault {
@@ -329,7 +328,7 @@ TEST(ChaosObservability, FaultEventsAndMetricsAgree) {
   codegen::SpmdRunOptions opts;
   opts.faults = &injector;
   opts.sink = &rec;
-  (void)c.program->run(kMachine, opts);
+  const auto par = c.program->run(kMachine, opts);
 
   long long delay_events = 0;
   for (const auto& rank_events : rec.trace().per_rank) {
@@ -343,16 +342,15 @@ TEST(ChaosObservability, FaultEventsAndMetricsAgree) {
   }
   EXPECT_EQ(delay_events, injector.counters().delayed);
 
-  obs::MetricsRegistry reg;
-  trace::trace_to_metrics(rec.trace(), reg);
-  injector.export_metrics(reg);
-  EXPECT_EQ(reg.counter("fault.delayed"), injector.counters().delayed);
-  EXPECT_EQ(reg.counter("fault.injected.delayed"),
-            injector.counters().delayed);
-  const auto* h = reg.find_histogram("fault.delay_s");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), delay_events);
-  EXPECT_NEAR(h->sum(), injector.counters().delay_s, 1e-12);
+  // The run report's trace-derived fault rollup reconciles with the
+  // injector's own counters.
+  const auto report =
+      prof::build_run_report(*c.program, par, rec.trace(), nullptr, {});
+  EXPECT_EQ(report.faults.delayed, delay_events);
+  EXPECT_EQ(report.faults.delayed, injector.counters().delayed);
+  EXPECT_NEAR(report.faults.delay_s, injector.counters().delay_s, 1e-12);
+  EXPECT_EQ(report.faults.dropped, injector.counters().dropped);
+  EXPECT_EQ(report.faults.corrupted, injector.counters().corrupted);
 }
 
 // The recovery tentpole property at the application level: seeded
@@ -426,21 +424,18 @@ TEST(RecoveryObservability, RetryMetricsMatchRuntimeCounters) {
   }
   ASSERT_GT(retransmits, 0) << "plan injected nothing, test is vacuous";
 
-  obs::MetricsRegistry reg;
-  trace::trace_to_metrics(rec.trace(), reg);
-  // The trace-derived fault.retry.* metrics reconcile exactly with the
-  // runtime's own per-rank accounting.
-  EXPECT_EQ(reg.counter("fault.retry.retransmits"), retransmits);
-  EXPECT_EQ(reg.counter("fault.retry.recovered"), recovered);
-  EXPECT_NEAR(reg.gauge("fault.retry.recovery_s"), recovery_s, 1e-12);
-  const auto* backoff = reg.find_histogram("fault.retry.backoff_s");
-  ASSERT_NE(backoff, nullptr);
-  EXPECT_EQ(backoff->count(), retransmits);
+  // The run report's trace-derived recovery rollup reconciles exactly
+  // with the runtime's own per-rank accounting.
+  const auto report =
+      prof::build_run_report(*c.program, par, rec.trace(), nullptr, {});
+  EXPECT_EQ(report.recovery.retransmits, retransmits);
+  EXPECT_EQ(report.recovery.recovered, recovered);
+  EXPECT_NEAR(report.recovery.recovery_s, recovery_s, 1e-12);
   // Fault counters still reconcile with the injector even though
   // retransmitted attempts can fail again: every wire decision is
   // reported on the receiver's stream.
-  EXPECT_EQ(reg.counter("fault.dropped"), injector.counters().dropped);
-  EXPECT_EQ(reg.counter("fault.corrupted"), injector.counters().corrupted);
+  EXPECT_EQ(report.faults.dropped, injector.counters().dropped);
+  EXPECT_EQ(report.faults.corrupted, injector.counters().corrupted);
 }
 
 }  // namespace

@@ -397,6 +397,8 @@ TEST(RecordBuilders, DistillsARealRunReport) {
   EXPECT_TRUE(rec.metrics.count("hot.0.time_s"));
   EXPECT_TRUE(rec.attrs.count("hot.0.class"));
   EXPECT_TRUE(rec.metrics.count("phase.total.wall_s"));
+  EXPECT_GT(rec.metrics.at("engine.bytecode.kernels_compiled"), 0.0);
+  EXPECT_EQ(rec.metrics.at("fault.delayed"), 0.0);
   // comm.share is a true share of the rank-time decomposition.
   const double share = rec.metrics.at("comm.share");
   EXPECT_GE(share, 0.0);
@@ -405,6 +407,37 @@ TEST(RecordBuilders, DistillsARealRunReport) {
   const auto back = parse_ledger(rec.json() + "\n", "mem");
   ASSERT_EQ(back.records.size(), 1u);
   EXPECT_EQ(back.records[0].json(), rec.json());
+}
+
+TEST(RecordBuilders, EngineAndFaultKeysAreInformational) {
+  prof::RunReport report;
+  report.engine_stats = {{"kernels_compiled", 3}, {"cache_hits", 40}};
+  report.faults.delayed = 5;
+  report.faults.dropped = 2;
+  report.faults.corrupted = 1;
+  report.faults.timeouts = 4;
+  report.faults.delay_s = 0.25;
+  const auto rec = make_run_record({}, &report, nullptr);
+
+  EXPECT_EQ(rec.metrics.at("engine.bytecode.kernels_compiled"), 3.0);
+  EXPECT_EQ(rec.metrics.at("engine.bytecode.cache_hits"), 40.0);
+  EXPECT_EQ(rec.metrics.at("fault.delayed"), 5.0);
+  EXPECT_EQ(rec.metrics.at("fault.dropped"), 2.0);
+  EXPECT_EQ(rec.metrics.at("fault.corrupted"), 1.0);
+  EXPECT_EQ(rec.metrics.at("fault.timeouts"), 4.0);
+  EXPECT_EQ(rec.metrics.at("fault.delay_s"), 0.25);
+  // None of them gates: the sentinel trends them but never fails on
+  // them.
+  int keys = 0;
+  for (const auto& [key, value] : rec.metrics) {
+    if (key.rfind("engine.bytecode.", 0) != 0 &&
+        key.rfind("fault.", 0) != 0) {
+      continue;
+    }
+    ++keys;
+    EXPECT_EQ(metric_direction(key), Direction::Informational) << key;
+  }
+  EXPECT_EQ(keys, 7);
 }
 
 TEST(RecordBuilders, LiftsSidecarMetaIntoIdentity) {

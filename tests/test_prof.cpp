@@ -409,29 +409,39 @@ TEST(RunReport, RecoverySummaryReconcilesAndRenders) {
   EXPECT_NE(text.str().find("recovery:"), std::string::npos);
 }
 
+TEST(RunReport, CarriesTheEngineCounters) {
+  auto run =
+      run_profiled(sprayer_small(), "2x2", interp::EngineKind::Bytecode);
+  ReportOptions opts;
+  opts.title = "sprayer";
+  opts.engine = "bytecode";
+  const auto report = build_run_report(*run.program, run.result, run.trace,
+                                       &run.obs.provenance, opts);
+  const auto items = run.result.engine_stats.items();
+  ASSERT_EQ(report.engine_stats.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(report.engine_stats[i].first, items[i].first);
+    EXPECT_EQ(report.engine_stats[i].second, items[i].second);
+  }
+  EXPECT_GT(run.result.engine_stats.kernels_compiled, 0);
+
+  std::ostringstream json;
+  write_report_json(report, json);
+  EXPECT_NE(json.str().find("\"engine_stats\": {\"kernels_compiled\": " +
+                            std::to_string(
+                                run.result.engine_stats.kernels_compiled)),
+            std::string::npos)
+      << json.str();
+  EXPECT_NE(json.str().find("\"faults\": {\"delayed\": 0"),
+            std::string::npos);
+}
+
 TEST(RunReport, FormatParsing) {
   EXPECT_EQ(parse_report_format(""), ReportFormat::Text);
   EXPECT_EQ(parse_report_format("text"), ReportFormat::Text);
   EXPECT_EQ(parse_report_format("json"), ReportFormat::Json);
   EXPECT_EQ(parse_report_format("html"), ReportFormat::Html);
   EXPECT_FALSE(parse_report_format("yaml").has_value());
-}
-
-// ------------------------------------------------------- metrics view
-
-TEST(ProfileMetrics, ExportsTotalsAndHotLoop) {
-  auto run =
-      run_profiled(sprayer_small(), "2x2", interp::EngineKind::Bytecode);
-  auto profile = build_source_profile(run.result.profiles);
-  attach_provenance(profile, run.obs.provenance);
-  obs::MetricsRegistry reg;
-  profile_to_metrics(profile, reg);
-  EXPECT_EQ(reg.counter("prof.units"),
-            static_cast<std::int64_t>(profile.entries.size()));
-  EXPECT_GT(reg.counter("prof.loops"), 0);
-  EXPECT_DOUBLE_EQ(reg.gauge("prof.flops"), profile.total_flops);
-  EXPECT_GT(reg.gauge("prof.hot.time_s"), 0.0);
-  EXPECT_GT(reg.gauge("prof.rank.0.compute_s"), 0.0);
 }
 
 }  // namespace

@@ -117,7 +117,7 @@ TEST(OutputPaths, AcceptsDistinctWritableFiles) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto problem = support::validate_output_paths(
       {{"-o", (dir / "acfd_out.f").string()},
-       {"--metrics-out", (dir / "acfd_metrics.json").string()}});
+       {"--plan-out", (dir / "acfd_plan.json").string()}});
   EXPECT_FALSE(problem.has_value()) << *problem;
   EXPECT_FALSE(support::validate_output_paths({}).has_value());
 }
@@ -126,9 +126,9 @@ TEST(OutputPaths, RejectsDuplicateDestinations) {
   const auto dir = std::filesystem::temp_directory_path();
   const auto path = (dir / "acfd_dup.json").string();
   const auto problem = support::validate_output_paths(
-      {{"--metrics-out", path}, {"--report-out", path}});
+      {{"--plan-out", path}, {"--report-out", path}});
   ASSERT_TRUE(problem.has_value());
-  EXPECT_NE(problem->find("--metrics-out"), std::string::npos);
+  EXPECT_NE(problem->find("--plan-out"), std::string::npos);
   EXPECT_NE(problem->find("--report-out"), std::string::npos);
   EXPECT_NE(problem->find(path), std::string::npos);
 }
@@ -144,7 +144,7 @@ TEST(OutputPaths, RejectsDuplicatesSpelledDifferently) {
 
 TEST(OutputPaths, RejectsMissingDirectory) {
   const auto problem = support::validate_output_paths(
-      {{"--metrics-out", "/no-such-dir-acfd/m.json"}});
+      {{"--plan-out", "/no-such-dir-acfd/m.json"}});
   ASSERT_TRUE(problem.has_value());
   EXPECT_NE(problem->find("does not exist"), std::string::npos);
 }
@@ -160,7 +160,7 @@ TEST(OutputPaths, RejectsDirectoryAsDestination) {
 TEST(OutputPaths, RejectsUnwritableDirectory) {
   if (::geteuid() == 0) GTEST_SKIP() << "root writes anywhere";
   const auto problem =
-      support::validate_output_paths({{"--metrics-out", "/proc/m.json"}});
+      support::validate_output_paths({{"--plan-out", "/proc/m.json"}});
   ASSERT_TRUE(problem.has_value());
   EXPECT_NE(problem->find("not writable"), std::string::npos);
 }
