@@ -1,5 +1,7 @@
 #include "autocfd/core/pipeline.hpp"
 
+#include <optional>
+
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/fortran/printer.hpp"
 
@@ -163,31 +165,39 @@ std::unique_ptr<ParallelProgram> parallelize(std::string_view source,
   }
   throw_if_errors(diags, "parse");
 
-  auto analysis =
-      Analysis::run(program->file, directives, diags, strategy, obs, plan);
-  throw_if_errors(diags, "analysis");
-  program->report = analysis.report();
-
-  codegen::SpmdOptions opts;
-  opts.field = directives.field_config();
-  opts.grid = directives.grid;
-  opts.spec = analysis.spec;
+  // Freeing the analysis is a phase of its own, so the profile accounts
+  // for the whole call: it starts after "print" and stops once the
+  // analysis below has gone out of scope.
+  std::optional<PhaseTimer> release;
   {
-    PhaseTimer t(profiler, "restructure");
-    program->meta =
-        codegen::restructure(program->file, opts, analysis.loops_by_unit,
-                             analysis.deps, analysis.plan, analysis.prog,
-                             diags);
-    t.count("sync_points", program->report.syncs_after);
-    t.count("pipelined_loops", program->report.pipelined_loops);
-  }
-  throw_if_errors(diags, "restructure");
+    auto analysis =
+        Analysis::run(program->file, directives, diags, strategy, obs, plan);
+    throw_if_errors(diags, "analysis");
+    program->report = analysis.report();
 
-  {
-    PhaseTimer t(profiler, "print");
-    program->parallel_source = fortran::print_file(program->file);
-    t.count("bytes", static_cast<double>(program->parallel_source.size()));
+    codegen::SpmdOptions opts;
+    opts.field = directives.field_config();
+    opts.grid = directives.grid;
+    opts.spec = analysis.spec;
+    {
+      PhaseTimer t(profiler, "restructure");
+      program->meta =
+          codegen::restructure(program->file, opts, analysis.loops_by_unit,
+                               analysis.deps, analysis.plan, analysis.prog,
+                               diags);
+      t.count("sync_points", program->report.syncs_after);
+      t.count("pipelined_loops", program->report.pipelined_loops);
+    }
+    throw_if_errors(diags, "restructure");
+
+    {
+      PhaseTimer t(profiler, "print");
+      program->parallel_source = fortran::print_file(program->file);
+      t.count("bytes", static_cast<double>(program->parallel_source.size()));
+    }
+    release.emplace(profiler, "release");
   }
+  release.reset();
   return program;
 }
 

@@ -1,6 +1,5 @@
 #include "autocfd/fortran/lexer.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cstdlib>
 
@@ -10,13 +9,12 @@ namespace autocfd::fortran {
 
 namespace {
 
-bool is_ident_start(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
-}
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-bool is_digit(char c) { return std::isdigit(static_cast<unsigned char>(c)); }
+// ASCII character classes, as <cctype> answers them in the "C" locale.
+bool is_alpha(char c) { return (c | 0x20) >= 'a' && (c | 0x20) <= 'z'; }
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool is_ident_start(char c) { return is_alpha(c) || c == '_'; }
+bool is_ident_char(char c) { return is_alpha(c) || is_digit(c) || c == '_'; }
 
 bool is_comment_line(std::string_view line) {
   const auto t = autocfd::trim(line);
@@ -29,7 +27,7 @@ bool is_comment_line(std::string_view line) {
   const char c = line[0];
   if (c != 'c' && c != 'C' && c != '*') return false;
   if (line.size() == 1) return true;
-  if (!std::isspace(static_cast<unsigned char>(line[1]))) return false;
+  if (!is_space(line[1])) return false;
   if (c == '*') return true;
   // `c = ...` / `c(i) = ...` is an assignment to a variable named c,
   // not a comment.
@@ -43,7 +41,9 @@ Lexer::Lexer(std::string_view source, DiagnosticEngine& diags)
     : source_(source), diags_(&diags) {}
 
 std::vector<Token> Lexer::tokenize() {
+  // The generated CFD sources run about one token per two bytes.
   std::vector<Token> out;
+  out.reserve(source_.size() / 2 + 1);
   std::uint32_t line_no = 0;
   bool continuation_pending = false;
   std::size_t pos = 0;
@@ -104,21 +104,25 @@ void Lexer::lex_line(std::string_view line, std::uint32_t line_no,
   while (i < line.size()) {
     const char c = line[i];
     const auto col = static_cast<std::uint32_t>(i + 1);
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (is_space(c)) {
       ++i;
+      continue;
+    }
+    if (is_ident_start(c)) {
+      const std::size_t start = i;
+      while (i < line.size() && is_ident_char(line[i])) ++i;
+      Token& ident = out.emplace_back();
+      ident.kind = TokenKind::Identifier;
+      ident.loc = {line_no, col};
+      ident.text.assign(line.substr(start, i - start));
+      for (auto& ch : ident.text) {
+        if (ch >= 'A' && ch <= 'Z') ch = static_cast<char>(ch - 'A' + 'a');
+      }
+      at_statement_start = false;
       continue;
     }
     Token tok;
     tok.loc = {line_no, col};
-    if (is_ident_start(c)) {
-      std::size_t start = i;
-      while (i < line.size() && is_ident_char(line[i])) ++i;
-      tok.kind = TokenKind::Identifier;
-      tok.text = autocfd::to_lower(line.substr(start, i - start));
-      out.push_back(std::move(tok));
-      at_statement_start = false;
-      continue;
-    }
     if (is_digit(c) || (c == '.' && i + 1 < line.size() && is_digit(line[i + 1]))) {
       lex_number(line, i, line_no, at_statement_start, out);
       at_statement_start = false;
@@ -196,8 +200,7 @@ void Lexer::lex_number(std::string_view line, std::size_t& i,
     return k < line.size() && is_digit(line[k]);
   };
   if (i < line.size() && line[i] == '.' &&
-      (!(i + 1 < line.size() &&
-         std::isalpha(static_cast<unsigned char>(line[i + 1]))) ||
+      (!(i + 1 < line.size() && is_alpha(line[i + 1])) ||
        is_exponent_at(i + 1))) {
     is_real = true;
     ++i;
@@ -216,19 +219,22 @@ void Lexer::lex_number(std::string_view line, std::size_t& i,
 
   Token tok;
   tok.loc = {line_no, col};
-  std::string spelling(line.substr(start, i - start));
-  tok.text = spelling;
+  tok.text.assign(line.substr(start, i - start));
   if (is_real) {
-    // Fortran 'd' exponents are not understood by strtod.
-    for (auto& ch : spelling) {
-      if (ch == 'd' || ch == 'D') ch = 'e';
-    }
     tok.kind = TokenKind::RealLiteral;
-    tok.real_value = std::strtod(spelling.c_str(), nullptr);
+    // Fortran 'd' exponents are not understood by strtod.
+    const auto d = tok.text.find_first_of("dD");
+    if (d == std::string::npos) {
+      tok.real_value = std::strtod(tok.text.c_str(), nullptr);
+    } else {
+      std::string spelling = tok.text;
+      spelling[d] = 'e';
+      tok.real_value = std::strtod(spelling.c_str(), nullptr);
+    }
   } else {
     tok.kind = at_statement_start ? TokenKind::Label : TokenKind::IntLiteral;
     long long v = 0;
-    std::from_chars(spelling.data(), spelling.data() + spelling.size(), v);
+    std::from_chars(tok.text.data(), tok.text.data() + tok.text.size(), v);
     tok.int_value = v;
   }
   out.push_back(std::move(tok));

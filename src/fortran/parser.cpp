@@ -614,7 +614,25 @@ StmtPtr Parser::parse_assignment(SourceLoc loc) {
 // Expressions
 // ---------------------------------------------------------------------------
 
-ExprPtr Parser::parse_expr() { return parse_or(); }
+ExprPtr Parser::parse_expr() {
+  // A lone name or integer before ',', ')', ':' or the statement end --
+  // most dimension bounds and subscripts -- is its own expression: no
+  // precedence level below would find an operator to take.
+  const auto kind = peek().kind;
+  if (kind == TokenKind::Identifier || kind == TokenKind::IntLiteral) {
+    switch (peek(1).kind) {
+      case TokenKind::Comma:
+      case TokenKind::RParen:
+      case TokenKind::Colon:
+      case TokenKind::EndOfStatement:
+      case TokenKind::EndOfFile:
+        return parse_primary();
+      default:
+        break;
+    }
+  }
+  return parse_or();
+}
 
 ExprPtr Parser::parse_or() {
   auto lhs = parse_and();
@@ -748,9 +766,9 @@ ExprPtr Parser::parse_primary() {
     }
     case TokenKind::Identifier: {
       advance();
-      const std::string name = t.text;
+      std::string name = t.text;
       if (!peek().is(TokenKind::LParen)) {
-        return make_var(name, loc);
+        return make_var(std::move(name), loc);
       }
       advance();  // '('
       std::vector<ExprPtr> args;
@@ -761,10 +779,10 @@ ExprPtr Parser::parse_primary() {
       }
       expect(TokenKind::RParen, "')'");
       if (is_declared_array(name)) {
-        return make_array_ref(name, std::move(args), loc);
+        return make_array_ref(std::move(name), std::move(args), loc);
       }
       if (is_intrinsic_name(name)) {
-        auto e = make_intrinsic(name, std::move(args));
+        auto e = make_intrinsic(std::move(name), std::move(args));
         e->loc = loc;
         return e;
       }

@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "autocfd/depend/dep_pairs.hpp"
@@ -104,6 +105,7 @@ class InlinedProgram {
   std::vector<SlotInfo> slots_;
   std::map<const INodeList*, std::vector<int>> block_slots_;
   std::map<const INodeList*, Position> block_pos_;
+  std::unordered_map<const INode*, Position> node_pos_;
   std::map<std::pair<const fortran::Stmt*, std::vector<const fortran::Stmt*>>,
            const INode*>
       site_index_;

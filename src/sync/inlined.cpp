@@ -124,6 +124,8 @@ InlinedProgram InlinedProgram::build(const fortran::SourceFile& file,
         if (i == block.size()) break;
         const INode& node = block[i];
         p->site_index_[{node.stmt, node.call_path}] = &node;
+        p->node_pos_[&node] =
+            Position{&block, static_cast<int>(i), owner, in_else};
 
         if (node.stmt->kind == StmtKind::Call) {
           if (!node.body.empty()) {
@@ -145,8 +147,6 @@ InlinedProgram InlinedProgram::build(const fortran::SourceFile& file,
           if (is_loop) --loop_depth;
         }
       }
-      // Record indices of nodes in their positions (done after loop so
-      // position entries exist for lookups during region building).
     }
   };
   Indexer idx{&p, 0};
@@ -165,19 +165,8 @@ const INode* InlinedProgram::node_for_site(
 }
 
 InlinedProgram::Position InlinedProgram::position_of(const INode& node) const {
-  // Find the block containing the node, then its index.
-  for (const auto& [block, pos] : block_pos_) {
-    const auto* b = block;
-    for (std::size_t i = 0; i < b->size(); ++i) {
-      if (&(*b)[i] == &node) {
-        Position out = pos;
-        out.block = b;
-        out.index = static_cast<int>(i);
-        return out;
-      }
-    }
-  }
-  return {};
+  const auto it = node_pos_.find(&node);
+  return it == node_pos_.end() ? Position{} : it->second;
 }
 
 InlinedProgram::Position InlinedProgram::position_of_block(

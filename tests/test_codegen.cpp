@@ -3,6 +3,7 @@
 // metadata the runtime consumes.
 #include <gtest/gtest.h>
 
+#include "autocfd/cfd/apps.hpp"
 #include "autocfd/core/pipeline.hpp"
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/fortran/printer.hpp"
@@ -218,6 +219,31 @@ TEST(Restructure, EmittedSourceReparses) {
     (void)fortran::parse_source(program->parallel_source, diags);
     EXPECT_FALSE(diags.has_errors()) << diags.dump();
   }
+}
+
+// FNV-1a 64 with the standard offset basis, as perfbench's text_hash
+// (ledger::source_fingerprint starts from a different basis).
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const unsigned char c : text) h = (h ^ c) * 1099511628211ULL;
+  return h;
+}
+
+// The SPMD sources of the two paper apps, pinned byte for byte. A
+// change that alters codegen on purpose updates these constants and
+// says why; any other change must leave them alone.
+TEST(GoldenSource, AerofoilAt4x1x1) {
+  const auto program =
+      build(cfd::aerofoil_source(cfd::AerofoilParams{}), "4x1x1");
+  EXPECT_EQ(program->parallel_source.size(), 222825u);
+  EXPECT_EQ(fnv1a64(program->parallel_source), 0x58c340fe0234abddULL);
+}
+
+TEST(GoldenSource, SprayerAt2x2) {
+  const auto program =
+      build(cfd::sprayer_source(cfd::SprayerParams{}), "2x2");
+  EXPECT_EQ(program->parallel_source.size(), 218366u);
+  EXPECT_EQ(fnv1a64(program->parallel_source), 0x9d5c443d367edb0eULL);
 }
 
 TEST(SpmdRuntimeStats, MessagesAndBytesAccounted) {

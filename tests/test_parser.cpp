@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/fortran/printer.hpp"
 
@@ -319,6 +322,56 @@ TEST(Parser, EnddoEndifSpellings) {
       "enddo\n"
       "end\n");
   EXPECT_EQ(file.units[0].body[0]->kind, StmtKind::Do);
+}
+
+// Deterministic mutation fuzz of the frontend: every truncation of
+// `doc` and every single-byte replacement from a fixed byte set must
+// come back from parse_source, and a text it accepts without error must
+// print to a fixed point (print, parse again, print the same text).
+void expect_frontend_survives_mutations(const std::string& doc) {
+  static const std::string kBytes("'()&!.*=\n d0\0\xff", 14);
+  int failures = 0;
+  std::string first, why;
+  const auto fail = [&](const std::string& text, std::string reason) {
+    if (failures++ == 0) {
+      first = text;
+      why = std::move(reason);
+    }
+  };
+  const auto check = [&](const std::string& text) {
+    try {
+      DiagnosticEngine diags;
+      const auto file = parse_source(text, diags);
+      if (diags.has_errors()) return;
+      const auto printed = print_file(file);
+      DiagnosticEngine again;
+      const auto back = parse_source(printed, again);
+      if (again.has_errors()) {
+        fail(text, "printed text does not parse:\n" + printed + again.dump());
+      } else if (print_file(back) != printed) {
+        fail(text, "print is not a fixed point:\n" + printed);
+      }
+    } catch (const std::exception& e) {
+      fail(text, std::string("threw: ") + e.what());
+    }
+  };
+  for (std::size_t n = 0; n < doc.size(); ++n) check(doc.substr(0, n));
+  for (std::size_t i = 0; i < doc.size(); ++i) {
+    for (const char b : kBytes) {
+      std::string mutated = doc;
+      mutated[i] = b;
+      check(mutated);
+    }
+  }
+  EXPECT_EQ(failures, 0) << why << "\nfirst failing input:\n" << first;
+}
+
+TEST(FrontendMutation, QuickstartSurvivesTruncationAndByteSwaps) {
+  std::ifstream in(std::string(AUTOCFD_SOURCE_DIR) + "/examples/quickstart.f");
+  std::ostringstream doc;
+  doc << in.rdbuf();
+  ASSERT_FALSE(doc.str().empty());
+  expect_frontend_survives_mutations(doc.str());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "autocfd/cfd/apps.hpp"
+#include "autocfd/core/directives.hpp"
 #include "autocfd/fortran/parser.hpp"
 #include "autocfd/sync/sync_plan.hpp"
 
@@ -651,6 +653,38 @@ TEST(SyncPlan, OptimizationPercentIsZeroWithoutDependences) {
   EXPECT_EQ(plan.syncs_after(), 0);
   EXPECT_FALSE(std::isnan(plan.optimization_percent()));
   EXPECT_EQ(plan.optimization_percent(), 0.0);
+}
+
+// Walks the inlined tree and checks position_of against the position
+// the walk itself finds for every node.
+void expect_indexed_positions(const InlinedProgram& prog,
+                              const INodeList& block, const INode* owner,
+                              bool in_else, int& checked) {
+  for (std::size_t i = 0; i < block.size(); ++i) {
+    const INode& node = block[i];
+    const auto pos = prog.position_of(node);
+    EXPECT_EQ(pos.block, &block);
+    EXPECT_EQ(pos.index, static_cast<int>(i));
+    EXPECT_EQ(pos.owner, owner);
+    EXPECT_EQ(pos.in_else_branch, in_else);
+    ++checked;
+    expect_indexed_positions(prog, node.body, &node, false, checked);
+    expect_indexed_positions(prog, node.else_body, &node, true, checked);
+  }
+}
+
+TEST(InlinedPositions, IndexMatchesTreeWalkOnAerofoil) {
+  const auto src = cfd::aerofoil_source(cfd::AerofoilParams{});
+  DiagnosticEngine diags;
+  const auto dirs = core::Directives::extract(src, diags);
+  ASSERT_FALSE(diags.has_errors()) << diags.dump();
+  Fixture f(src, dirs.field_config(), partition::PartitionSpec::parse("4x1x1"));
+  int checked = 0;
+  expect_indexed_positions(f.prog, f.prog.body(), nullptr, false, checked);
+  EXPECT_GT(checked, 1000);
+  // A node the program does not hold has no position.
+  const INode stray;
+  EXPECT_EQ(f.prog.position_of(stray).block, nullptr);
 }
 
 }  // namespace
