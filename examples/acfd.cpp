@@ -680,9 +680,10 @@ int main(int argc, char** argv) {
         const auto es = par.engine_stats;
         std::fprintf(chat,
                      "acfd: bytecode engine: %lld kernels compiled, "
-                     "%lld cache hits, %lld walks reduced, %lld rejects\n",
+                     "%lld cache hits, %lld walks reduced, %lld lane "
+                     "loops, %lld rejects\n",
                      es.kernels_compiled + es.stmts_compiled, es.cache_hits,
-                     es.walks_reduced, es.compile_rejects);
+                     es.walks_reduced, es.lane_loops, es.compile_rejects);
       }
       if (!faults_spec.empty()) {
         const auto& fc = injector.counters();

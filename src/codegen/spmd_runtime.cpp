@@ -438,7 +438,10 @@ SeqRunResult run_sequential_timed(fortran::SourceFile& file,
   for (const auto& name : status_arrays) {
     const int slot = image.find_array_slot(name);
     if (slot < 0) continue;
-    out.arrays[name] = env.arrays[static_cast<std::size_t>(slot)].data;
+    // `env` dies with this call, so its arrays move out instead of
+    // being copied (try_emplace moves nothing for a repeated name).
+    out.arrays.try_emplace(
+        name, std::move(env.arrays[static_cast<std::size_t>(slot)].data));
   }
   return out;
 }

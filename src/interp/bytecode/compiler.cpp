@@ -1,11 +1,13 @@
 // Compiles Assign statements and DO-loop nests into flat register
 // programs (see bytecode.hpp for the execution model and the exact
 // equivalence contract with the tree-walker).
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <functional>
 #include <set>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "autocfd/interp/bytecode.hpp"
 
@@ -186,6 +188,51 @@ Op binary_op(BinOp op) {
 /// No enclosing loop charges this statement's flops per iteration.
 constexpr int kNoLoop = -1;
 
+/// Calls `fn(reg, writes)` on each register operand of `in`: the ones
+/// it reads, in order, then the one it writes. Returns false for an
+/// instruction a lane-wise body may not contain.
+template <class Fn>
+bool lane_operands(Instr& in, int* operands, Fn&& fn) {
+  switch (in.op) {
+    case Op::Move:
+    case Op::Neg:
+    case Op::Not:
+      fn(in.b, false);
+      break;
+    case Op::LoadWalk:
+      break;
+    case Op::StoreWalk:
+      fn(in.a, false);
+      return true;
+    case Op::Add: case Op::Sub: case Op::Mul: case Op::Div: case Op::Pow:
+    case Op::Lt: case Op::Le: case Op::Gt: case Op::Ge:
+    case Op::CmpEq: case Op::CmpNe:
+      fn(in.b, false);
+      fn(in.c, false);
+      break;
+    case Op::Intrin:
+      for (int k = 0; k < in.d; ++k) fn(operands[in.c + k], false);
+      break;
+    default:
+      return false;
+  }
+  fn(in.a, true);
+  return true;
+}
+
+bool same_subscripts(const WalkDesc& a, const WalkDesc& b) {
+  if (a.dims.size() != b.dims.size()) return false;
+  for (std::size_t d = 0; d < a.dims.size(); ++d) {
+    const WalkDim& x = a.dims[d];
+    const WalkDim& y = b.dims[d];
+    if (x.affine != y.affine ||
+        (x.affine ? x.offset != y.offset : x.reg != y.reg)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 /// One compilation of one statement (friend of Program).
@@ -220,6 +267,9 @@ class Compiler {
     prog_->loop_state_.resize(prog_->loops_.size());
     prog_->walk_state_.resize(prog_->walks_.size());
     stats_->instrs_emitted += static_cast<long long>(prog_->code_.size());
+    for (const auto& lane : prog_->lanes_) {
+      stats_->instrs_emitted += static_cast<long long>(lane.code.size());
+    }
     return std::move(prog_);
   }
 
@@ -491,6 +541,87 @@ class Compiler {
     for (const auto& st : s.body) emit_stmt(*st, straight ? li : kNoLoop);
     emit(Op::LoopNext, li);
     loop(li).exit_pc = here();
+    if (straight) try_lanes(li);
+  }
+
+  /// Moves the body of loop `li` into a LaneDesc and replaces it with
+  /// one LaneLoop when the body meets the lane-wise rule (bytecode.hpp).
+  void try_lanes(int li) {
+    LoopDesc& ld = loop(li);
+    const int body_end = ld.exit_pc - 1;  // the LoopNext
+    int* const opnd = prog_->operands_.data();
+
+    // Rule 1 (op kinds), rule 5 and the dataflow of rule 4.
+    std::unordered_map<int, int> first_read, first_write;
+    for (int pc = ld.body_pc; pc < body_end; ++pc) {
+      const bool ok = lane_operands(at(pc), opnd, [&](int& r, bool writes) {
+        if (writes) {
+          first_write.try_emplace(r, pc);
+        } else {
+          first_read.try_emplace(r, pc);
+        }
+      });
+      if (!ok) return;
+    }
+    if (first_write.count(ld.var_reg)) return;
+    for (const auto& [r, pc] : first_read) {
+      const auto w = first_write.find(r);
+      if (w != first_write.end() && pc <= w->second) return;
+    }
+    // Rules 2 and 3: a stored array is one element per iteration.
+    const auto& walks = prog_->walks_;
+    for (int pc = ld.body_pc; pc < body_end; ++pc) {
+      if (at(pc).op != Op::StoreWalk) continue;
+      const WalkDesc& stored = walks[static_cast<std::size_t>(at(pc).b)];
+      if (std::none_of(stored.dims.begin(), stored.dims.end(),
+                       [](const WalkDim& d) { return d.affine; })) {
+        return;
+      }
+      for (int w = ld.walk_begin; w < ld.walk_end; ++w) {
+        const WalkDesc& other = walks[static_cast<std::size_t>(w)];
+        if (other.array_slot == stored.array_slot &&
+            !same_subscripts(other, stored)) {
+          return;
+        }
+      }
+    }
+
+    // Rename each register to a lane slot of its own. By rule 4 a
+    // register the body reads before writing is never written: it is
+    // the DO variable or an invariant input, broadcast once per loop
+    // entry. Assigned homes are copied out after the loop.
+    std::unordered_set<int> homes;
+    for (const auto& h : prog_->homes_) homes.insert(h.reg);
+    LaneDesc lane;
+    std::unordered_map<int, int> slot_of;
+    for (int pc = ld.body_pc; pc < body_end; ++pc) {
+      Instr in = at(pc);
+      lane_operands(in, opnd, [&](int& r, bool writes) {
+        const auto [it, fresh] = slot_of.try_emplace(r, lane.slots);
+        if (fresh) {
+          ++lane.slots;
+          if (writes) {
+            if (homes.count(r)) lane.out.emplace_back(r, it->second);
+          } else if (r == ld.var_reg) {
+            lane.var_slot = it->second;
+          } else {
+            lane.splat.emplace_back(it->second, r);
+          }
+        }
+        r = it->second;
+      });
+      lane.code.push_back(in);
+    }
+
+    ++stats_->lane_loops;
+    prog_->lane_doubles_ =
+        std::max(prog_->lane_doubles_,
+                 static_cast<std::size_t>(lane.slots) * kLanes);
+    ld.lane = static_cast<int>(prog_->lanes_.size());
+    prog_->lanes_.push_back(std::move(lane));
+    prog_->code_.resize(static_cast<std::size_t>(ld.body_pc));
+    emit(Op::LaneLoop, li);
+    ld.exit_pc = here();
   }
 
   const ProgramImage* image_;
@@ -509,7 +640,11 @@ const Program* BytecodeEngine::compiled(const Stmt& s) {
     return it->second.get();
   }
   auto prog = Compiler(image_, &stats_).compile(s);
-  if (!prog) ++stats_.compile_rejects;
+  if (!prog) {
+    ++stats_.compile_rejects;
+  } else if (prog->lane_doubles() > lanes_.size()) {
+    lanes_.resize(prog->lane_doubles());
+  }
   const auto* p = prog.get();
   cache_.emplace(&s, std::move(prog));
   return p;

@@ -1,6 +1,9 @@
 // Dispatch loop for compiled programs. Every operation here must stay
 // bit-identical to the tree-walker (see the header contract); the
-// scalar math is shared via eval_ops.hpp.
+// scalar math is shared via eval_ops.hpp, and each op's semantics is
+// one eval<op> for the scalar and the lane-wise paths.
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <string>
 
@@ -27,9 +30,167 @@ namespace {
       s.lhs->name + "' at " + s.loc.str() + ": the computation diverged");
 }
 
+/// The scalar semantics of each unary and binary op, defined once for
+/// the scalar dispatch and the lane-wise loops. Comparisons and .not.
+/// yield 1.0 or 0.0, the tree-walker's logical values.
+template <Op op>
+double eval(double a, double b = 0.0) {
+  if constexpr (op == Op::Move) return a;
+  if constexpr (op == Op::Neg) return -a;
+  if constexpr (op == Op::Not) return a != 0.0 ? 0.0 : 1.0;
+  if constexpr (op == Op::Add) return a + b;
+  if constexpr (op == Op::Sub) return a - b;
+  if constexpr (op == Op::Mul) return a * b;
+  if constexpr (op == Op::Div) return a / b;
+  if constexpr (op == Op::Pow) return eval_pow(a, b);
+  if constexpr (op == Op::Lt) return a < b ? 1.0 : 0.0;
+  if constexpr (op == Op::Le) return a <= b ? 1.0 : 0.0;
+  if constexpr (op == Op::Gt) return a > b ? 1.0 : 0.0;
+  if constexpr (op == Op::Ge) return a >= b ? 1.0 : 0.0;
+  if constexpr (op == Op::CmpEq) return a == b ? 1.0 : 0.0;
+  if constexpr (op == Op::CmpNe) return a != b ? 1.0 : 0.0;
+}
+
+template <Op op>
+void lanewise(double* dst, const double* a, int n) {
+  for (int l = 0; l < n; ++l) dst[l] = eval<op>(a[l]);
+}
+
+template <Op op>
+void lanewise(double* dst, const double* a, const double* b, int n) {
+  for (int l = 0; l < n; ++l) dst[l] = eval<op>(a[l], b[l]);
+}
+
+/// Number of leading finite values of v[0..n). The first loop has no
+/// early exit, so it vectorizes; only a chunk with a bad lane rescans.
+int finite_prefix(const double* v, int n) {
+  bool bad = false;
+  for (int l = 0; l < n; ++l) bad |= !(std::fabs(v[l]) <= DBL_MAX);
+  if (!bad) return n;
+  int m = 0;
+  while (std::isfinite(v[m])) ++m;
+  return m;
+}
+
 }  // namespace
 
-ExecSignal Program::execute(Env& env, double& flops) const {
+long long Program::run_lanes(const LoopDesc& ld, const LoopState& ls,
+                             double* regs, const WalkState* walk,
+                             double* lanes) const {
+  const LaneDesc& lane = lanes_[static_cast<std::size_t>(ld.lane)];
+  const int* const opnd = operands_.data();
+  const auto slot = [lanes](int s) {
+    return lanes + static_cast<std::ptrdiff_t>(s) * kLanes;
+  };
+  for (const auto& [s, reg] : lane.splat) {
+    std::fill_n(slot(s), kLanes, regs[reg]);
+  }
+  const long long count = (ls.last - ls.v) / ls.step + 1;
+  int n = 0;
+  for (long long first = 0; first < count; first += kLanes) {
+    n = static_cast<int>(std::min<long long>(kLanes, count - first));
+    if (lane.var_slot >= 0) {
+      double* const v = slot(lane.var_slot);
+      for (int l = 0; l < n; ++l) {
+        v[l] = static_cast<double>(ls.v + (first + l) * ls.step);
+      }
+    }
+    double bad_value = 0.0;
+    int bad_stmt = -1;
+    for (const Instr& in : lane.code) {
+      double* const dst = slot(in.a);
+      switch (in.op) {
+        case Op::Move:
+          lanewise<Op::Move>(dst, slot(in.b), n);
+          break;
+        case Op::LoadWalk: {
+          const WalkState& w = walk[in.b];
+          const double* const p = w.p + first * w.stride;
+          if (w.stride == 1) {
+            std::copy_n(p, n, dst);
+          } else {
+            for (int l = 0; l < n; ++l) dst[l] = p[l * w.stride];
+          }
+          break;
+        }
+        case Op::StoreWalk: {
+          // Store the lanes before the first non-finite value; the
+          // rest of the chunk runs only the iterations before it.
+          const WalkState& w = walk[in.b];
+          double* const p = w.p + first * w.stride;
+          const int m = finite_prefix(dst, n);
+          for (int l = 0; l < m; ++l) p[l * w.stride] = dst[l];
+          if (m < n) {
+            bad_value = dst[m];
+            bad_stmt = in.c;
+            n = m;
+          }
+          break;
+        }
+        case Op::Neg:
+          lanewise<Op::Neg>(dst, slot(in.b), n);
+          break;
+        case Op::Not:
+          lanewise<Op::Not>(dst, slot(in.b), n);
+          break;
+        case Op::Add:
+          lanewise<Op::Add>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Sub:
+          lanewise<Op::Sub>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Mul:
+          lanewise<Op::Mul>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Div:
+          lanewise<Op::Div>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Pow:
+          lanewise<Op::Pow>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Lt:
+          lanewise<Op::Lt>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Le:
+          lanewise<Op::Le>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Gt:
+          lanewise<Op::Gt>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Ge:
+          lanewise<Op::Ge>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::CmpEq:
+          lanewise<Op::CmpEq>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::CmpNe:
+          lanewise<Op::CmpNe>(dst, slot(in.b), slot(in.c), n);
+          break;
+        case Op::Intrin: {
+          const double* src[8];
+          for (int k = 0; k < in.d; ++k) src[k] = slot(opnd[in.c + k]);
+          const auto op = static_cast<Intrinsic>(in.b);
+          double args[8]{};
+          for (int l = 0; l < n; ++l) {
+            for (int k = 0; k < in.d; ++k) args[k] = src[k][l];
+            dst[l] = apply_intrinsic(op, args, static_cast<std::size_t>(in.d));
+          }
+          break;
+        }
+        default:
+          break;  // unreachable: the compiler admits no other op
+      }
+    }
+    if (bad_stmt >= 0) {
+      throw_non_finite(bad_value, *stmts_[static_cast<std::size_t>(bad_stmt)]);
+    }
+  }
+  for (const auto& [reg, s] : lane.out) regs[reg] = slot(s)[n - 1];
+  regs[ld.var_reg] = static_cast<double>(ls.last);
+  return count;
+}
+
+ExecSignal Program::execute(Env& env, double& flops, double* lanes) const {
   // Locals, not members: stores through `regs` or a walk pointer
   // cannot alias them, so they stay in machine registers.
   double* const regs = regs_.data();
@@ -54,7 +215,7 @@ ExecSignal Program::execute(Env& env, double& flops) const {
     const Instr& in = code[pc];
     switch (in.op) {
       case Op::Move:
-        regs[in.a] = regs[in.b];
+        regs[in.a] = eval<Op::Move>(regs[in.b]);
         ++pc;
         break;
       case Op::LoadElem: {
@@ -101,55 +262,55 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         break;
       }
       case Op::Neg:
-        regs[in.a] = -regs[in.b];
+        regs[in.a] = eval<Op::Neg>(regs[in.b]);
         ++pc;
         break;
       case Op::Not:
-        regs[in.a] = regs[in.b] != 0.0 ? 0.0 : 1.0;
+        regs[in.a] = eval<Op::Not>(regs[in.b]);
         ++pc;
         break;
       case Op::Add:
-        regs[in.a] = regs[in.b] + regs[in.c];
+        regs[in.a] = eval<Op::Add>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Sub:
-        regs[in.a] = regs[in.b] - regs[in.c];
+        regs[in.a] = eval<Op::Sub>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Mul:
-        regs[in.a] = regs[in.b] * regs[in.c];
+        regs[in.a] = eval<Op::Mul>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Div:
-        regs[in.a] = regs[in.b] / regs[in.c];
+        regs[in.a] = eval<Op::Div>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Pow:
-        regs[in.a] = eval_pow(regs[in.b], regs[in.c]);
+        regs[in.a] = eval<Op::Pow>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Lt:
-        regs[in.a] = regs[in.b] < regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::Lt>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Le:
-        regs[in.a] = regs[in.b] <= regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::Le>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Gt:
-        regs[in.a] = regs[in.b] > regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::Gt>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Ge:
-        regs[in.a] = regs[in.b] >= regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::Ge>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::CmpEq:
-        regs[in.a] = regs[in.b] == regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::CmpEq>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::CmpNe:
-        regs[in.a] = regs[in.b] != regs[in.c] ? 1.0 : 0.0;
+        regs[in.a] = eval<Op::CmpNe>(regs[in.b], regs[in.c]);
         ++pc;
         break;
       case Op::Intrin: {
@@ -254,6 +415,14 @@ ExecSignal Program::execute(Env& env, double& flops) const {
         }
         walk[in.a] = WalkState{av.data.data() + idx, stride};
         ++pc;
+        break;
+      }
+      case Op::LaneLoop: {
+        const LoopDesc& ld = loops[in.a];
+        const long long trips =
+            run_lanes(ld, loop_state[in.a], regs, walk, lanes);
+        fl += ld.iter_flops * static_cast<double>(trips);
+        pc = static_cast<std::size_t>(ld.exit_pc);
         break;
       }
       case Op::Ret:

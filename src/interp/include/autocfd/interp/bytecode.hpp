@@ -47,6 +47,42 @@
 // virtual clock reads the count only at extension statements and
 // profiler unit boundaries, neither of which occurs inside a kernel.
 //
+// Lane-wise loops. An innermost loop whose body is straight-line
+// assignments may instead run one instruction at a time over a chunk
+// of up to kLanes iterations: each body instruction becomes one tight
+// C++ loop over the chunk's lanes. The compiler decides from its own
+// walk descriptors and registers, so the same rule covers the
+// sequential source and the restructured rank programs. A loop
+// qualifies when
+//   1. its body compiles to Move, LoadWalk, StoreWalk, arithmetic,
+//      compare, Pow and Intrin only (no LoadElem, StoreElem,
+//      CheckFinite, jumps or nested loops);
+//   2. every array the body stores to is referenced only through walks
+//      with identical subscripts (the same offset in each affine
+//      dimension, the same register in each invariant one);
+//   3. every stored walk has an affine dimension, so each iteration
+//      touches its own element;
+//   4. every register the body writes is written before the body first
+//      reads it, so assigned scalars (`acc`) are private to an
+//      iteration and a reduction like `r = max(r, ...)` is rejected;
+//   5. the DO variable is never assigned.
+// Distinct array slots never share storage, so then no iteration reads
+// a value another iteration writes, and running statement by statement
+// over many iterations gives every element the same operations in the
+// same order as the scalar path: every value is bitwise the same (the
+// scalar and lane-wise paths apply one definition of each op).
+// Each register becomes a lane slot of kLanes doubles in one buffer
+// owned by the engine; loop-invariant registers are broadcast once per
+// loop entry. After the loop, the homes the body assigns and the DO
+// variable hold their last-iteration values, and the loop charges
+// iter_flops * trip count (exact, by the integer argument below). A
+// non-finite store throws the scalar path's message for the earliest
+// (iteration, statement) in scalar order: a store that finds a bad
+// lane stores the lanes before it and truncates the chunk there, so a
+// later statement can still report an earlier iteration. Earlier
+// statements may already have stored later lanes; as with any
+// throwing kernel, the run has failed at that point.
+//
 // Everything else about the semantics — evaluation order, llround
 // subscript rounding, the pow fast path, short-circuit logicals, the
 // non-finite array-store guard, the value a DO variable holds after
@@ -55,9 +91,11 @@
 // flops and trace event streams across both engines.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "autocfd/interp/env.hpp"
@@ -83,6 +121,7 @@ enum class Op : std::uint8_t {
   LoopBegin,    // enter loop a: lo=r[b], hi=r[c], step=r[d]
   LoopNext,     // advance loop a: jump to body or fall through to exit
   WalkInit,     // initialize walk a (hoisted bounds check)
+  LaneLoop,     // run loop a lane-wise over all its iterations, then exit
   Ret,          // store homes back, halt with Signal::Return
   StopProg,     // store homes back, halt with Signal::Stop
   Halt,         // store homes back, normal end of program
@@ -101,6 +140,22 @@ struct LoopDesc {
   int walk_begin = 0;       // walks [walk_begin, walk_end) advance
   int walk_end = 0;         //   by one stride each iteration
   double iter_flops = 0.0;  // flops charged by each LoopNext
+  int lane = -1;            // lane-wise body index, or -1: scalar path
+};
+
+/// Iterations a lane-wise loop runs per chunk.
+inline constexpr int kLanes = 128;
+
+/// The body of a lane-wise loop. Its code holds the body's
+/// instructions with every register operand renamed to a lane slot:
+/// kLanes doubles of the engine's lane buffer, one per iteration of
+/// the current chunk.
+struct LaneDesc {
+  std::vector<Instr> code;
+  std::vector<std::pair<int, int>> splat;  // {slot, reg}: invariant inputs
+  std::vector<std::pair<int, int>> out;    // {reg, slot}: homes assigned
+  int var_slot = -1;  // slot of the DO variable, if the body reads it
+  int slots = 0;
 };
 
 /// One dimension of a strength-reduced array reference.
@@ -129,6 +184,7 @@ struct EngineStats {
   long long kernel_runs = 0;       // compiled program executions
   long long instrs_emitted = 0;
   long long walks_reduced = 0;     // array refs turned into walks
+  long long lane_loops = 0;        // loops compiled lane-wise
 
   EngineStats& operator+=(const EngineStats& o) {
     kernels_compiled += o.kernels_compiled;
@@ -138,6 +194,7 @@ struct EngineStats {
     kernel_runs += o.kernel_runs;
     instrs_emitted += o.instrs_emitted;
     walks_reduced += o.walks_reduced;
+    lane_loops += o.lane_loops;
     return *this;
   }
 
@@ -149,21 +206,25 @@ struct EngineStats {
             {"cache_hits", cache_hits},
             {"kernel_runs", kernel_runs},
             {"instrs_emitted", instrs_emitted},
-            {"walks_reduced", walks_reduced}};
+            {"walks_reduced", walks_reduced},
+            {"lane_loops", lane_loops}};
   }
 };
 
 /// One compiled statement: a DO-loop kernel or a single assignment.
-/// Execution scratch is owned by the program and reused across runs;
+/// Execution scratch other than the engine's lane buffer is owned by
+/// the program and reused across runs;
 /// a Program must only be executed by one thread at a time (each
 /// Interpreter — hence each simulated rank — owns its own cache).
 class Program {
  public:
-  ExecSignal execute(Env& env, double& flops) const;
+  /// `lanes` is scratch for lane-wise loops: at least lane_doubles().
+  ExecSignal execute(Env& env, double& flops, double* lanes) const;
 
   [[nodiscard]] const std::vector<Instr>& code() const { return code_; }
   [[nodiscard]] const std::vector<LoopDesc>& loops() const { return loops_; }
   [[nodiscard]] const std::vector<WalkDesc>& walks() const { return walks_; }
+  [[nodiscard]] std::size_t lane_doubles() const { return lane_doubles_; }
 
  private:
   friend class Compiler;
@@ -184,12 +245,18 @@ class Program {
   std::vector<Instr> code_;
   std::vector<LoopDesc> loops_;
   std::vector<WalkDesc> walks_;
+  std::vector<LaneDesc> lanes_;
+  std::size_t lane_doubles_ = 0;  // largest lane body's slots * kLanes
   /// Operand register lists of LoadElem, StoreElem and Intrin.
   std::vector<int> operands_;
   std::vector<Home> homes_;    // loaded at entry
   std::vector<Home> written_;  // stored back at Halt/Ret/StopProg
   /// Statements referenced by CheckFinite/StoreWalk for error attribution.
   std::vector<const fortran::Stmt*> stmts_;
+
+  /// Runs a LaneLoop's iterations; returns the trip count.
+  long long run_lanes(const LoopDesc& ld, const LoopState& ls, double* regs,
+                      const WalkState* walk, double* lanes) const;
 
   // Reused scratch (single-threaded per owning interpreter). The
   // constant registers of regs_ are preset by the compiler.
@@ -210,13 +277,21 @@ class BytecodeEngine {
   /// candidates.
   const Program* compiled(const fortran::Stmt& s);
 
+  /// Executes a program this engine compiled, with the engine's lane
+  /// buffer as its scratch.
+  ExecSignal run(const Program& p, Env& env, double& flops) {
+    ++stats_.kernel_runs;
+    return p.execute(env, flops, lanes_.data());
+  }
+
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
-  EngineStats& mutable_stats() { return stats_; }
 
  private:
   const ProgramImage* image_;
   std::unordered_map<const fortran::Stmt*, std::unique_ptr<Program>> cache_;
   EngineStats stats_;
+  /// Lane scratch shared by every cached program (sized to the largest).
+  std::vector<double> lanes_;
 };
 
 }  // namespace autocfd::interp::bytecode

@@ -1,6 +1,6 @@
 // Bytecode engine: kernel cache behavior, strength reduction, hoisted
-// bounds checks, register-resident scalars and per-iteration flops,
-// and the contiguous halo-packing fast path.
+// bounds checks, register-resident scalars, per-iteration flops,
+// lane-wise loops and the contiguous halo-packing fast path.
 //
 // Bit-identity of whole programs across engines is covered by the
 // randomized sweep in test_random_equivalence.cpp; this file tests the
@@ -431,6 +431,238 @@ TEST(Bytecode, AccumulateStatementCompilesToFiveInstructions) {
                                    Op::Mul, Op::Add}));
   EXPECT_EQ(ld.iter_flops, loop.body.at(0)->flops);
   EXPECT_EQ(ld.walk_end - ld.walk_begin, 2);
+}
+
+// --- Lane-wise loops ---------------------------------------------------------
+
+/// Two arrays initialized by one lane-wise nest; each shape below
+/// appends one loop nest and the end of the program.
+const std::string kLanePrologue =
+    "program t\n"
+    "parameter (n = 10, m = 6)\n"
+    "real u(n, m), v(n, m), w(n, m), s(m), acc, resmax\n"
+    "integer i, j\n"
+    "do j = 1, m\n"
+    "  do i = 1, n\n"
+    "    u(i, j) = 0.01 * (i + 2 * j)\n"
+    "    v(i, j) = 0.02 * (2 * i - j)\n"
+    "  end do\n"
+    "end do\n";
+
+/// Runs the shape on both engines (bitwise against the tree) and
+/// returns how many of its loops ran lane-wise, the prologue's not
+/// counted.
+long long lane_loops_of(const std::string& shape) {
+  const auto r = run_both(kLanePrologue + shape + "end\n");
+  return r->stats.lane_loops - 1;
+}
+
+TEST(LaneLoops, AcceptsTheStageShapeWithAPrivateAccumulator) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 2, n - 1\n"
+                          "    acc = 0.0\n"
+                          "    acc = acc + 0.5 * (v(i + 1, j) - v(i - 1, j))\n"
+                          "    acc = acc + 0.5 * (u(i, j) - v(i, j))\n"
+                          "    u(i, j) = u(i, j) * 0.98 + 0.01 * acc\n"
+                          "  end do\n"
+                          "end do\n"),
+            1);
+}
+
+TEST(LaneLoops, AcceptsTheCrossDirectionSweep) {
+  // sweepy: stores v(i, j) while reading vo(i, j +- 1) along j.
+  EXPECT_EQ(lane_loops_of("do i = 1, n\n"
+                          "  do j = 2, m - 1\n"
+                          "    u(i, j) = 0.96 * u(i, j) + 0.02 * (v(i, j - 1) &\n"
+                          "              + v(i, j + 1))\n"
+                          "  end do\n"
+                          "end do\n"),
+            1);
+}
+
+TEST(LaneLoops, RejectsASelfDependentSweep) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 2, n - 1\n"
+                          "    u(i, j) = 0.96 * u(i, j) + 0.02 * (u(i - 1, j) &\n"
+                          "              + u(i + 1, j))\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAReduction) {
+  EXPECT_EQ(lane_loops_of("resmax = 0.0\n"
+                          "do j = 1, m\n"
+                          "  do i = 1, n\n"
+                          "    resmax = max(resmax, abs(u(i, j) - v(i, j)))\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAStoredArrayReadAtAnotherOffset) {
+  EXPECT_EQ(lane_loops_of("do j = 2, m\n"
+                          "  do i = 1, n\n"
+                          "    u(i, j) = u(i, j - 1) + v(i, j)\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAStoreWithNoAffineSubscript) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 1, n\n"
+                          "    s(j) = s(j) + u(i, j)\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAnIfInTheBody) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 1, n\n"
+                          "    if (v(i, j) .gt. 0.05) then\n"
+                          "      w(i, j) = v(i, j)\n"
+                          "    end if\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAShortCircuitLogicalInTheBody) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 1, n\n"
+                          "    w(i, j) = v(i, j) .gt. 0.0 .and. v(i, j) .lt. 0.1\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+TEST(LaneLoops, RejectsAGeneralSubscript) {
+  EXPECT_EQ(lane_loops_of("do j = 1, m\n"
+                          "  do i = 1, n / 2\n"
+                          "    w(i, j) = u(2 * i, j)\n"
+                          "  end do\n"
+                          "end do\n"),
+            0);
+}
+
+/// A loop over `lo, hi[, step]` with a private scalar, reading the DO
+/// variable, over arrays large enough for any trip count used here.
+std::string lane_loop_program(const std::string& bounds) {
+  const int size = 2 * bytecode::kLanes + 3;
+  return "program t\n"
+         "parameter (n = " + std::to_string(size) + ")\n"
+         "real a(n), b(n), x, y\n"
+         "integer i\n"
+         "do i = 1, n\n"
+         "  a(i) = 0.5 * i - 3.0\n"
+         "end do\n"
+         "do i = " + bounds + "\n"
+         "  x = a(i) * 0.25 + i\n"
+         "  y = x * x - a(i)\n"
+         "  b(i) = y / (1.0 + abs(x))\n"
+         "end do\n"
+         "end\n";
+}
+
+TEST(LaneLoops, TripCountsAroundTheChunkSizeMatchTheTree) {
+  const int k = bytecode::kLanes;
+  for (const int trips : {1, k - 1, k, k + 1, 2 * k + 3}) {
+    SCOPED_TRACE(trips);
+    const auto r = run_both(lane_loop_program("1, " + std::to_string(trips)));
+    EXPECT_EQ(r->stats.lane_loops, 2);
+    EXPECT_EQ(scalar_of(*r, "t", "i"), trips);
+  }
+}
+
+TEST(LaneLoops, NegativeAndNonUnitStepsMatchTheTree) {
+  const int k = bytecode::kLanes;
+  const std::string last = std::to_string(2 * k + 3);
+  for (const std::string& bounds :
+       {last + ", 1, -1", last + ", 2, -3", "2, " + last + ", 5",
+        "7, " + last + ", " + std::to_string(k + 2), std::string("5, 5, -2")}) {
+    SCOPED_TRACE(bounds);
+    const auto r = run_both(lane_loop_program(bounds));
+    EXPECT_EQ(r->stats.lane_loops, 2);
+  }
+}
+
+TEST(LaneLoops, DoVariableAndPrivateScalarsHoldTheLastIteration) {
+  // i = 11, 8, 5, 2: the tree-walker's values after the loop, checked
+  // bitwise by run_both and spelled out here.
+  const auto r = run_both(lane_loop_program("11, 1, -3"));
+  EXPECT_EQ(r->stats.lane_loops, 2);
+  const double a2 = 0.5 * 2 - 3.0;
+  const double x = a2 * 0.25 + 2;
+  EXPECT_EQ(scalar_of(*r, "t", "i"), 2.0);
+  EXPECT_EQ(scalar_of(*r, "t", "x"), x);
+  EXPECT_EQ(scalar_of(*r, "t", "y"), x * x - a2);
+}
+
+TEST(LaneLoops, ZeroTripLoopLeavesScalarsUntouched) {
+  const auto r = run_both(lane_loop_program("5, 4"));
+  EXPECT_EQ(scalar_of(*r, "t", "i"), 2 * bytecode::kLanes + 3);
+  EXPECT_EQ(scalar_of(*r, "t", "x"), 0.0);
+}
+
+/// The error each engine raises on `source` ("" when none).
+std::string error_of(const std::string& source, EngineKind engine) {
+  try {
+    (void)run_engine(source, engine);
+  } catch (const CompileError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// Lane-wise loops among the main program's top-level statements.
+long long lane_loops_compiled(const std::string& source) {
+  auto file = fortran::parse_source(source);
+  DiagnosticEngine diags;
+  const auto image = ProgramImage::build(file, diags);
+  throw_if_errors(diags, "image build");
+  bytecode::BytecodeEngine engine(image);
+  for (const auto& st : file.units.at(0).body) (void)engine.compiled(*st);
+  return engine.stats().lane_loops;
+}
+
+/// Statement 1 stores -inf at iteration `first_bad`, statement 2 +inf
+/// at iteration `second_bad`.
+std::string diverging_program(int first_bad, int second_bad) {
+  return "program t\n"
+         "parameter (n = " + std::to_string(2 * bytecode::kLanes + 3) + ")\n"
+         "real a(n), b(n), x(n)\n"
+         "integer i\n"
+         "do i = 1, n\n"
+         "  x(i) = i\n"
+         "end do\n"
+         "do i = 1, n\n"
+         "  a(i) = -1.0 / (x(i) - " + std::to_string(first_bad) + ")\n"
+         "  b(i) = 1.0 / (x(i) - " + std::to_string(second_bad) + ")\n"
+         "end do\n"
+         "end\n";
+}
+
+TEST(LaneLoops, NonFiniteStoreReportsTheEarliestIterationLikeTheTree) {
+  const int k = bytecode::kLanes;
+  struct Case {
+    int first_bad, second_bad;
+    const char* array;  // the one the scalar order fails on
+  };
+  for (const Case c : {Case{7, 3, "'b'"},         // later statement, earlier i
+                       Case{3, 7, "'a'"},         // earlier statement first
+                       Case{5, 5, "'a'"},         // same iteration
+                       Case{k + 9, k + 5, "'b'"},  // both in the second chunk
+                       Case{2 * k + 1, 0, "'a'"}}) {  // last chunk only
+    const auto source = diverging_program(c.first_bad, c.second_bad);
+    SCOPED_TRACE(source);
+    ASSERT_EQ(lane_loops_compiled(source), 2);
+    const auto tree_msg = error_of(source, EngineKind::Tree);
+    EXPECT_NE(tree_msg.find(std::string("non-finite value")), std::string::npos);
+    EXPECT_NE(tree_msg.find(c.array), std::string::npos) << tree_msg;
+    EXPECT_EQ(error_of(source, EngineKind::Bytecode), tree_msg);
+  }
 }
 
 // --- Contiguous halo packing ------------------------------------------------

@@ -398,6 +398,7 @@ TEST(RecordBuilders, DistillsARealRunReport) {
   EXPECT_TRUE(rec.attrs.count("hot.0.class"));
   EXPECT_TRUE(rec.metrics.count("phase.total.wall_s"));
   EXPECT_GT(rec.metrics.at("engine.bytecode.kernels_compiled"), 0.0);
+  EXPECT_GT(rec.metrics.at("engine.bytecode.lane_loops"), 0.0);
   EXPECT_EQ(rec.metrics.at("fault.delayed"), 0.0);
   // comm.share is a true share of the rank-time decomposition.
   const double share = rec.metrics.at("comm.share");

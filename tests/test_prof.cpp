@@ -424,6 +424,7 @@ TEST(RunReport, CarriesTheEngineCounters) {
     EXPECT_EQ(report.engine_stats[i].second, items[i].second);
   }
   EXPECT_GT(run.result.engine_stats.kernels_compiled, 0);
+  EXPECT_GT(run.result.engine_stats.lane_loops, 0);
 
   std::ostringstream json;
   write_report_json(report, json);
@@ -432,6 +433,9 @@ TEST(RunReport, CarriesTheEngineCounters) {
                                 run.result.engine_stats.kernels_compiled)),
             std::string::npos)
       << json.str();
+  EXPECT_NE(json.str().find("\"lane_loops\": " +
+                            std::to_string(run.result.engine_stats.lane_loops)),
+            std::string::npos);
   EXPECT_NE(json.str().find("\"faults\": {\"delayed\": 0"),
             std::string::npos);
 }

@@ -88,6 +88,21 @@ TEST(SpmdEquivalence, JacobiAcrossPartitions) {
   }
 }
 
+// The sequential run hands back its status arrays by moving them out
+// of its environment; a name listed twice must still keep its values.
+TEST(SequentialRun, StatusArrayListedTwiceKeepsItsValues) {
+  const auto machine = mp::MachineConfig::pentium_ethernet_1999();
+  auto once_file = fortran::parse_source(kJacobi);
+  const auto once = codegen::run_sequential_timed(once_file, {"v"}, machine);
+  auto twice_file = fortran::parse_source(kJacobi);
+  const auto twice = codegen::run_sequential_timed(
+      twice_file, {"v", "vold", "v"}, machine);
+  ASSERT_EQ(twice.arrays.size(), 2u);
+  ASSERT_EQ(twice.arrays.at("v").size(), 20u * 16u);
+  EXPECT_EQ(twice.arrays.at("v"), once.arrays.at("v"));
+  EXPECT_EQ(twice.arrays.at("vold").size(), 20u * 16u);
+}
+
 // Figure 3(b): mixed-direction self-dependent Gauss-Seidel — the
 // mirror-image decomposition must reproduce the sequential sweep
 // exactly (pipelined flow half + pre-exchanged anti half).
