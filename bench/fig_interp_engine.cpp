@@ -6,9 +6,9 @@
 // full final environment, not just the status arrays — and (b) beat
 // the tree-walker by at least 8x on host wall time (Release build),
 // since executed kernel throughput is what every table in the paper
-// reproduction ultimately measures. Lane-wise inner loops carry most
-// of the margin: 16-24x on aerofoil and 20-35x on sprayer in Release
-// runs on a 4-vCPU x86-64 VM.
+// reproduction ultimately measures. Lane-wise inner loops and
+// nest-level walks carry most of the margin: 21-34x on aerofoil and
+// 32-37x on sprayer in Release runs on a 4-vCPU x86-64 VM.
 #include "bench_util.hpp"
 
 #include <chrono>

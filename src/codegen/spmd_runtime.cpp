@@ -235,6 +235,45 @@ SlabChunks slab_chunks(const ArrayValue& av, int dim, long long d_lo,
   return s;
 }
 
+/// Copies the box [lo, hi] (global indices) of the local array `av`
+/// into `global`, stored column-major over `shape`: one memcpy per
+/// dim-0 run, as pack_slab copies a slab.
+void gather_block(const ArrayValue& av, const fortran::ArrayShape& shape,
+                  const std::vector<long long>& lo,
+                  const std::vector<long long>& hi,
+                  std::vector<double>& global) {
+  const std::size_t rank = lo.size();
+  for (std::size_t d = 0; d < rank; ++d) {
+    if (hi[d] < lo[d]) return;  // nothing owned
+  }
+  // Bounds check with the exact message ArrayValue::index would give;
+  // the box is inside the array when both corners are.
+  (void)av.index(lo);
+  (void)av.index(hi);
+  const auto run = static_cast<std::size_t>(hi[0] - lo[0] + 1);
+  std::vector<long long> idx = lo;
+  for (;;) {
+    long long local = 0;
+    long long at = 0;
+    long long local_stride = 1;
+    long long global_stride = 1;
+    for (std::size_t d = 0; d < rank; ++d) {
+      local += (idx[d] - av.lower[d]) * local_stride;
+      local_stride *= av.extent[d];
+      at += (idx[d] - shape.dims[d].lower) * global_stride;
+      global_stride *= shape.dims[d].extent();
+    }
+    std::memcpy(global.data() + at, av.data.data() + local,
+                run * sizeof(double));
+    std::size_t d = 1;
+    for (; d < rank; ++d) {
+      if (++idx[d] <= hi[d]) break;
+      idx[d] = lo[d];
+    }
+    if (d >= rank) return;
+  }
+}
+
 }  // namespace
 
 void pack_slab(const ArrayValue& av, int dim, long long d_lo, long long d_hi,
@@ -375,7 +414,7 @@ SpmdRunResult run_spmd(fortran::SourceFile& file, const SpmdMeta& meta,
       const auto& av = envs[static_cast<std::size_t>(r)]
                            .arrays[static_cast<std::size_t>(slot)];
       if (!av.allocated()) continue;
-      // Walk the owned region (global indices) of the local array.
+      // The owned region (global indices) of the local array.
       const int arank = av.rank();
       std::vector<long long> lo(static_cast<std::size_t>(arank));
       std::vector<long long> hi(static_cast<std::size_t>(arank));
@@ -389,27 +428,7 @@ SpmdRunResult run_spmd(fortran::SourceFile& file, const SpmdMeta& meta,
           hi[du] = av.upper(d);
         }
       }
-      std::vector<long long> idx = lo;
-      while (true) {
-        // Global linear index (column major over the global shape).
-        long long gidx = 0;
-        long long stride = 1;
-        for (int d = 0; d < arank; ++d) {
-          const auto du = static_cast<std::size_t>(d);
-          gidx += (idx[du] - shape.dims[du].lower) * stride;
-          stride *= shape.dims[du].extent();
-        }
-        global[static_cast<std::size_t>(gidx)] =
-            av.data[static_cast<std::size_t>(av.index(idx))];
-        int d = 0;
-        while (d < arank) {
-          const auto du = static_cast<std::size_t>(d);
-          if (++idx[du] <= hi[du]) break;
-          idx[du] = lo[du];
-          ++d;
-        }
-        if (d == arank) break;
-      }
+      gather_block(av, shape, lo, hi, global);
     }
     result.gathered[name] = std::move(global);
   }

@@ -213,15 +213,6 @@ const VarDecl* ProgramUnit::find_decl(std::string_view var) const {
   return nullptr;
 }
 
-bool ProgramUnit::in_common(std::string_view var) const {
-  for (const auto& c : commons) {
-    for (const auto& v : c.vars) {
-      if (v == var) return true;
-    }
-  }
-  return false;
-}
-
 const ProgramUnit* SourceFile::find_unit(std::string_view name) const {
   for (const auto& u : units) {
     if (u.name == name) return &u;

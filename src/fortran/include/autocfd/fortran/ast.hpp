@@ -229,7 +229,6 @@ struct ProgramUnit {
   SourceLoc loc;
 
   [[nodiscard]] const VarDecl* find_decl(std::string_view var) const;
-  [[nodiscard]] bool in_common(std::string_view var) const;
 };
 
 struct SourceFile {

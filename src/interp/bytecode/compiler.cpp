@@ -161,6 +161,29 @@ bool invariant_expr(const Expr& e, const std::set<int>& banned) {
   return true;
 }
 
+/// Describes array reference `e` as a walk of the loop over `var`: each
+/// subscript is affine in `var`, affine in `outer` (the enclosing loop's
+/// variable of a nest-level walk; -1 for none) or free of `banned`.
+/// Returns false when some subscript is none of these. Invariant dims
+/// get their registers from the caller.
+bool describe_walk(const Expr& e, int var, int outer,
+                   const std::set<int>& banned, WalkDesc* desc) {
+  if (e.slot < 0 || e.args.empty() || e.args.size() > 8) return false;
+  desc->array_slot = e.slot;
+  for (const auto& sub : e.args) {
+    WalkDim dim;
+    if (affine_in(*sub, var, &dim.offset)) {
+      dim.kind = DimKind::Affine;
+    } else if (outer >= 0 && affine_in(*sub, outer, &dim.offset)) {
+      dim.kind = DimKind::Outer;
+    } else if (!invariant_expr(*sub, banned)) {
+      return false;  // general per-iteration access
+    }
+    desc->dims.push_back(dim);
+  }
+  return true;
+}
+
 void for_each_array_ref(const Expr& e,
                         const std::function<void(const Expr&)>& fn) {
   if (e.kind == ExprKind::ArrayRef) fn(e);
@@ -225,8 +248,9 @@ bool same_subscripts(const WalkDesc& a, const WalkDesc& b) {
   for (std::size_t d = 0; d < a.dims.size(); ++d) {
     const WalkDim& x = a.dims[d];
     const WalkDim& y = b.dims[d];
-    if (x.affine != y.affine ||
-        (x.affine ? x.offset != y.offset : x.reg != y.reg)) {
+    if (x.kind != y.kind || (x.kind == DimKind::Invariant
+                                 ? x.reg != y.reg
+                                 : x.offset != y.offset)) {
       return false;
     }
   }
@@ -266,6 +290,7 @@ class Compiler {
     }
     prog_->loop_state_.resize(prog_->loops_.size());
     prog_->walk_state_.resize(prog_->walks_.size());
+    prog_->cursor_state_.resize(static_cast<std::size_t>(ncursors_));
     stats_->instrs_emitted += static_cast<long long>(prog_->code_.size());
     for (const auto& lane : prog_->lanes_) {
       stats_->instrs_emitted += static_cast<long long>(lane.code.size());
@@ -470,34 +495,23 @@ class Compiler {
          static_cast<int>(lhs.args.size()));
   }
 
-  /// Registers strength-reducible array references of the loop's
-  /// straight-line assignments (not inside If branches — those may not
-  /// execute every iteration, so their bounds checks cannot be
-  /// hoisted).
-  void collect_walks(const Stmt& s, int loop_index,
-                     const std::set<int>& banned,
-                     std::vector<const Expr*>* refs) {
-    const auto consider = [&](const Expr& e) {
-      if (e.slot < 0 || e.args.empty() || e.args.size() > 8) return;
-      if (walk_of_.count(&e)) return;
-      WalkDesc desc;
-      desc.array_slot = e.slot;
-      desc.loop = loop_index;
-      for (const auto& sub : e.args) {
-        WalkDim dim;
-        if (affine_in(*sub, s.slot, &dim.offset)) {
-          dim.affine = true;
-        } else if (invariant_expr(*sub, banned)) {
-          dim.affine = false;
-        } else {
-          return;  // general per-iteration access
-        }
-        desc.dims.push_back(dim);
-      }
-      walk_of_[&e] = static_cast<int>(prog_->walks_.size());
-      refs->push_back(&e);
-      prog_->walks_.push_back(std::move(desc));
-      ++stats_->walks_reduced;
+  /// Registers `desc` as the walk of reference `e`; returns its index.
+  int add_walk(const Expr& e, WalkDesc desc) {
+    const int w = static_cast<int>(prog_->walks_.size());
+    walk_of_[&e] = w;
+    prog_->walks_.push_back(std::move(desc));
+    ++stats_->walks_reduced;
+    return w;
+  }
+
+  /// Calls `fn` on each array reference of the loop's straight-line
+  /// assignments (not inside If branches — those may not execute every
+  /// iteration, so their bounds checks cannot be hoisted) that is not
+  /// a walk yet.
+  template <class Fn>
+  void for_each_walk_candidate(const Stmt& s, Fn&& fn) {
+    const std::function<void(const Expr&)> consider = [&](const Expr& e) {
+      if (!walk_of_.count(&e)) fn(e);
     };
     for (const auto& st : s.body) {
       if (st->kind != StmtKind::Assign) continue;
@@ -506,42 +520,117 @@ class Compiler {
     }
   }
 
+  /// Emits the invariant subscript values of reference `e` into the
+  /// registers of its walk `desc`.
+  void emit_invariant_dims(const Expr& e, WalkDesc& desc) {
+    for (std::size_t d = 0; d < desc.dims.size(); ++d) {
+      if (desc.dims[d].kind == DimKind::Invariant) {
+        desc.dims[d].reg = operand(*e.args[d]);
+      }
+    }
+  }
+
   void emit_do(const Stmt& s) {
-    const int r_lo = operand(*s.lo);
-    const int r_hi = operand(*s.hi);
-    const int r_step = s.step ? operand(*s.step) : constant(1.0);
+    // A loop whose parent planned nest-level walks for it (see
+    // plan_nest_walks) reuses the bound registers the parent computed.
+    const auto planned = nest_plans_.find(&s);
+    NestPlan* const plan =
+        planned == nest_plans_.end() ? nullptr : &planned->second;
+    const int r_lo = plan ? plan->lo : operand(*s.lo);
+    const int r_hi = plan ? plan->hi : operand(*s.hi);
+    const int r_step =
+        plan ? plan->step : (s.step ? operand(*s.step) : constant(1.0));
     const int li = static_cast<int>(prog_->loops_.size());
     prog_->loops_.push_back(LoopDesc{home(s.slot, true)});
     emit(Op::LoopBegin, li, r_lo, r_hi, r_step);
 
-    // Loop preheader: invariant subscript values, then the hoisted
-    // setup of every walk. Skipped entirely on zero-trip loops. The
-    // loop's walks are registered before any nested loop's, so they
-    // form one contiguous range.
+    // Loop preheader: the nest-level walks the parent checked, then
+    // invariant subscript values and the hoisted setup of every other
+    // walk, then the nest-level walks of the loops nested directly in
+    // this one. Skipped entirely on zero-trip loops. The loop's walks
+    // are registered before any nested loop's, so they form one
+    // contiguous range.
     const bool straight = !has_early_exit(s.body);
+    std::set<int> banned;
+    collect_assigned(s.body, banned);
+    // A body that assigns the DO variable moves it off the affine walk.
+    const int var = banned.count(s.slot) ? -1 : s.slot;
+    banned.insert(s.slot);
     loop(li).walk_begin = static_cast<int>(prog_->walks_.size());
+    if (plan) {
+      for (auto& nw : plan->walks) {
+        nw.desc.loop = li;
+        const int cursor = nw.desc.cursor;
+        const int w = add_walk(*nw.ref, std::move(nw.desc));
+        at(nw.init_pc).a = w;
+        emit(Op::WalkCopy, w, cursor);
+      }
+    }
     std::vector<const Expr*> refs;
     if (straight) {
-      std::set<int> banned;
-      banned.insert(s.slot);
-      collect_assigned(s.body, banned);
-      collect_walks(s, li, banned, &refs);
+      for_each_walk_candidate(s, [&](const Expr& e) {
+        WalkDesc desc;
+        desc.loop = li;
+        if (describe_walk(e, var, -1, banned, &desc)) {
+          add_walk(e, std::move(desc));
+          refs.push_back(&e);
+        }
+      });
     }
     loop(li).walk_end = static_cast<int>(prog_->walks_.size());
     for (const Expr* e : refs) {
       const int w = walk_of_.at(e);
-      auto& dims = prog_->walks_[static_cast<std::size_t>(w)].dims;
-      for (std::size_t d = 0; d < dims.size(); ++d) {
-        if (!dims[d].affine) dims[d].reg = operand(*e->args[d]);
-      }
+      emit_invariant_dims(*e, prog_->walks_[static_cast<std::size_t>(w)]);
       emit(Op::WalkInit, w);
     }
+    loop(li).cursor_begin = ncursors_;
+    if (straight && var >= 0) plan_nest_walks(s, li, banned);
+    loop(li).cursor_end = ncursors_;
 
     loop(li).body_pc = here();
     for (const auto& st : s.body) emit_stmt(*st, straight ? li : kNoLoop);
     emit(Op::LoopNext, li);
     loop(li).exit_pc = here();
     if (straight) try_lanes(li);
+  }
+
+  /// Plans the nest-level walks (bytecode.hpp) of each DO loop directly
+  /// in the body of loop `li` (statement `s`, whose DO variable the body
+  /// never assigns; `banned` is what the body assigns). Emits, into this
+  /// preheader, the inner loop's bounds, each walk's invariant subscripts
+  /// and its WalkInit; the inner loop registers the walks and patches
+  /// the WalkInits when it compiles.
+  void plan_nest_walks(const Stmt& s, int li, const std::set<int>& banned) {
+    for (const auto& st : s.body) {
+      const Stmt& inner = *st;
+      if (inner.kind != StmtKind::Do || inner.slot == s.slot ||
+          !invariant_expr(*inner.lo, banned) ||
+          !invariant_expr(*inner.hi, banned) ||
+          (inner.step && !invariant_expr(*inner.step, banned))) {
+        continue;
+      }
+      std::set<int> inner_assigned;
+      collect_assigned(inner.body, inner_assigned);
+      if (inner_assigned.count(inner.slot)) continue;
+      NestPlan plan;
+      for_each_walk_candidate(inner, [&](const Expr& e) {
+        WalkDesc desc;
+        if (describe_walk(e, inner.slot, s.slot, banned, &desc)) {
+          plan.walks.push_back(NestWalk{&e, std::move(desc), -1});
+        }
+      });
+      if (plan.walks.empty()) continue;
+      plan.lo = operand(*inner.lo);
+      plan.hi = operand(*inner.hi);
+      plan.step = inner.step ? operand(*inner.step) : constant(1.0);
+      for (auto& nw : plan.walks) {
+        emit_invariant_dims(*nw.ref, nw.desc);
+        nw.desc.nest = li;
+        nw.desc.cursor = ncursors_++;
+        nw.init_pc = emit(Op::WalkInit, -1, plan.lo, plan.hi, plan.step);
+      }
+      nest_plans_.emplace(&inner, std::move(plan));
+    }
   }
 
   /// Moves the body of loop `li` into a LaneDesc and replaces it with
@@ -574,7 +663,9 @@ class Compiler {
       if (at(pc).op != Op::StoreWalk) continue;
       const WalkDesc& stored = walks[static_cast<std::size_t>(at(pc).b)];
       if (std::none_of(stored.dims.begin(), stored.dims.end(),
-                       [](const WalkDim& d) { return d.affine; })) {
+                       [](const WalkDim& d) {
+                         return d.kind == DimKind::Affine;
+                       })) {
         return;
       }
       for (int w = ld.walk_begin; w < ld.walk_end; ++w) {
@@ -624,10 +715,25 @@ class Compiler {
     ld.exit_pc = here();
   }
 
+  /// A nest-level walk planned by the enclosing loop.
+  struct NestWalk {
+    const Expr* ref = nullptr;
+    WalkDesc desc;
+    int init_pc = -1;  // its WalkInit, patched with the walk index
+  };
+  /// The nest-level walks of one inner loop, and the registers holding
+  /// its bounds (computed in the enclosing loop's preheader).
+  struct NestPlan {
+    int lo = -1, hi = -1, step = -1;
+    std::vector<NestWalk> walks;
+  };
+
   const ProgramImage* image_;
   EngineStats* stats_;
   std::unique_ptr<Program> prog_;
   int nregs_ = 0;
+  int ncursors_ = 0;
+  std::unordered_map<const Stmt*, NestPlan> nest_plans_;  // by inner loop
   std::unordered_map<const Expr*, int> walk_of_;
   std::unordered_map<std::uint64_t, int> const_reg_;  // value bits -> reg
   std::unordered_map<int, int> home_reg_;             // scalar slot -> reg

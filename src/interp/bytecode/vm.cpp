@@ -4,6 +4,7 @@
 // one eval<op> for the scalar and the lane-wise paths.
 #include <algorithm>
 #include <cfloat>
+#include <climits>
 #include <cmath>
 #include <string>
 
@@ -28,6 +29,12 @@ namespace {
   throw autocfd::CompileError(
       "non-finite value (" + std::to_string(v) + ") assigned to array '" +
       s.lhs->name + "' at " + s.loc.str() + ": the computation diverged");
+}
+
+/// Iterations of `do v = lo, hi, step` (step != 0).
+long long trip_count(long long lo, long long hi, long long step) {
+  if (step > 0) return lo <= hi ? (hi - lo) / step + 1 : 0;
+  return lo >= hi ? (lo - hi) / (-step) + 1 : 0;
 }
 
 /// The scalar semantics of each unary and binary op, defined once for
@@ -74,6 +81,71 @@ int finite_prefix(const double* v, int n) {
 
 }  // namespace
 
+Program::WalkStart Program::start_walk(const WalkDesc& wd,
+                                       const ArrayValue& av,
+                                       const LoopState& own,
+                                       const LoopState* outer,
+                                       const double* regs) {
+  if (static_cast<int>(wd.dims.size()) != av.rank()) {
+    throw autocfd::CompileError("subscript rank mismatch");
+  }
+  // The check is hoisted over every iteration. On failure report what
+  // the tree-walker's per-access check reports: the earliest access in
+  // iteration order (outer loop first) that is out of bounds, at its
+  // lowest failing dim. A dim fails from some iteration k of the loop
+  // it follows on (its values are monotone), so that access is the
+  // smallest (outer k, inner k) over the failing dims.
+  long long bad_outer = LLONG_MAX;
+  long long bad_inner = LLONG_MAX;
+  int bad_dim = -1;
+  long long bad_value = 0;
+  WalkStart out;
+  long long dimstride = 1;
+  for (std::size_t d = 0; d < wd.dims.size(); ++d) {
+    const WalkDim& dim = wd.dims[d];
+    const LoopState* const ls = dim.kind == DimKind::Affine  ? &own
+                                : dim.kind == DimKind::Outer ? outer
+                                                             : nullptr;
+    long long first = 0;
+    long long last = 0;
+    if (ls) {
+      first = ls->v + dim.offset;
+      last = ls->last + dim.offset;
+    } else {
+      first = static_cast<long long>(std::llround(regs[dim.reg]));
+      last = first;
+    }
+    const long long lo = av.lower[d];
+    const long long hi = av.upper(static_cast<int>(d));
+    long long k = -1;  // first failing iteration of the loop `ls`
+    if (first < lo || first > hi) {
+      k = 0;
+    } else if (last < lo || last > hi) {
+      k = ls->step > 0 ? (hi - first) / ls->step + 1
+                       : (first - lo) / (-ls->step) + 1;
+    }
+    if (k >= 0) {
+      const long long ko = dim.kind == DimKind::Outer ? k : 0;
+      const long long ki = dim.kind == DimKind::Affine ? k : 0;
+      if (ko < bad_outer || (ko == bad_outer && ki < bad_inner)) {
+        bad_outer = ko;
+        bad_inner = ki;
+        bad_dim = static_cast<int>(d);
+        bad_value = ls ? first + k * ls->step : first;
+      }
+    }
+    out.idx += (first - lo) * dimstride;
+    if (dim.kind == DimKind::Affine) out.stride += own.step * dimstride;
+    if (dim.kind == DimKind::Outer) out.outer_stride += outer->step * dimstride;
+    dimstride *= av.extent[d];
+  }
+  if (bad_dim >= 0) {
+    const auto d = static_cast<std::size_t>(bad_dim);
+    throw_oob(bad_dim, bad_value, av.lower[d], av.upper(bad_dim));
+  }
+  return out;
+}
+
 long long Program::run_lanes(const LoopDesc& ld, const LoopState& ls,
                              double* regs, const WalkState* walk,
                              double* lanes) const {
@@ -82,10 +154,13 @@ long long Program::run_lanes(const LoopDesc& ld, const LoopState& ls,
   const auto slot = [lanes](int s) {
     return lanes + static_cast<std::ptrdiff_t>(s) * kLanes;
   };
-  for (const auto& [s, reg] : lane.splat) {
-    std::fill_n(slot(s), kLanes, regs[reg]);
-  }
+  // An invariant input fills only the lanes the loop's chunks use: a
+  // 25-trip loop splats 25 doubles, not kLanes.
   const long long count = (ls.last - ls.v) / ls.step + 1;
+  const int width = static_cast<int>(std::min<long long>(kLanes, count));
+  for (const auto& [s, reg] : lane.splat) {
+    std::fill_n(slot(s), width, regs[reg]);
+  }
   int n = 0;
   for (long long first = 0; first < count; first += kLanes) {
     n = static_cast<int>(std::min<long long>(kLanes, count - first));
@@ -201,6 +276,7 @@ ExecSignal Program::execute(Env& env, double& flops, double* lanes) const {
   const LoopDesc* const loops = loops_.data();
   LoopState* const loop_state = loop_state_.data();
   WalkState* const walk = walk_state_.data();
+  WalkState* const cursor = cursor_state_.data();
   double fl = flops;
 
   for (const Home& h : homes_) regs[h.reg] = scalars[h.slot];
@@ -342,12 +418,7 @@ ExecSignal Program::execute(Env& env, double& flops, double* lanes) const {
         if (step == 0) {
           throw autocfd::CompileError("do loop with zero step");
         }
-        long long count = 0;
-        if (step > 0) {
-          count = lo <= hi ? (hi - lo) / step + 1 : 0;
-        } else {
-          count = lo >= hi ? (lo - hi) / (-step) + 1 : 0;
-        }
+        const long long count = trip_count(lo, hi, step);
         if (count == 0) {
           pc = static_cast<std::size_t>(ld.exit_pc);
           break;
@@ -370,53 +441,48 @@ ExecSignal Program::execute(Env& env, double& flops, double* lanes) const {
         for (int w = ld.walk_begin; w < ld.walk_end; ++w) {
           walk[w].p += walk[w].stride;
         }
+        for (int c = ld.cursor_begin; c < ld.cursor_end; ++c) {
+          cursor[c].p += cursor[c].stride;
+        }
         pc = static_cast<std::size_t>(ld.body_pc);
         break;
       }
       case Op::WalkInit: {
         const WalkDesc& wd = walks_[static_cast<std::size_t>(in.a)];
         ArrayValue& av = arrays[wd.array_slot];
-        if (static_cast<int>(wd.dims.size()) != av.rank()) {
-          throw autocfd::CompileError("subscript rank mismatch");
+        double* const base = av.data.data();
+        if (wd.nest < 0) {
+          const WalkStart ws =
+              start_walk(wd, av, loop_state[wd.loop], nullptr, regs);
+          walk[in.a] = WalkState{base + ws.idx, ws.stride};
+          ++pc;
+          break;
         }
-        const LoopState& ls = loop_state[wd.loop];
-        long long idx = 0;
-        long long stride = 0;
-        long long dimstride = 1;
-        for (std::size_t d = 0; d < wd.dims.size(); ++d) {
-          const WalkDim& dim = wd.dims[d];
-          long long first = 0;
-          long long last = 0;
-          if (dim.affine) {
-            first = ls.v + dim.offset;
-            last = ls.last + dim.offset;
-          } else {
-            first = static_cast<long long>(std::llround(regs[dim.reg]));
-            last = first;
-          }
-          const long long lo = av.lower[d];
-          const long long hi = av.upper(static_cast<int>(d));
-          // The check is hoisted over the whole iteration range; report
-          // the value of the *first failing iteration*, exactly what
-          // the per-iteration check of the tree-walker would report.
-          if (first < lo || first > hi) throw_oob(static_cast<int>(d), first, lo, hi);
-          if (last < lo || last > hi) {
-            long long bad = 0;
-            if (ls.step > 0) {
-              bad = first + ((hi - first) / ls.step + 1) * ls.step;
-            } else {
-              bad = first - ((first - lo) / (-ls.step) + 1) * (-ls.step);
-            }
-            throw_oob(static_cast<int>(d), bad, lo, hi);
-          }
-          idx += (first - lo) * dimstride;
-          if (dim.affine) stride += ls.step * dimstride;
-          dimstride *= av.extent[d];
+        // A nest-level walk, checked before its own loop starts: that
+        // loop's bounds are invariant here, and it runs once per
+        // iteration of the loop `nest`. No iteration, no access.
+        WalkState& cur = cursor[wd.cursor];
+        const auto lo = static_cast<long long>(std::llround(regs[in.b]));
+        const auto hi = static_cast<long long>(std::llround(regs[in.c]));
+        const auto step = static_cast<long long>(std::llround(regs[in.d]));
+        const long long count = step == 0 ? 0 : trip_count(lo, hi, step);
+        if (count == 0) {
+          cur = WalkState{};
+          ++pc;
+          break;
         }
-        walk[in.a] = WalkState{av.data.data() + idx, stride};
+        const LoopState own{lo, lo + (count - 1) * step, step};
+        const WalkStart ws =
+            start_walk(wd, av, own, &loop_state[wd.nest], regs);
+        cur = WalkState{base + ws.idx, ws.outer_stride};
+        walk[in.a].stride = ws.stride;
         ++pc;
         break;
       }
+      case Op::WalkCopy:
+        walk[in.a].p = cursor[in.b].p;
+        ++pc;
+        break;
       case Op::LaneLoop: {
         const LoopDesc& ld = loops[in.a];
         const long long trips =

@@ -1,6 +1,7 @@
 #include "autocfd/interp/image.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace autocfd::interp {
 
@@ -46,6 +47,8 @@ struct Resolver {
   std::unordered_map<std::string, int>* array_by_key;
   std::vector<ArraySlotInfo>* arrays;
   int* num_scalars;
+  /// Every name any unit lists in a common block.
+  const std::unordered_set<std::string_view>* common_names;
 
   const fortran::ProgramUnit* unit = nullptr;
 
@@ -56,11 +59,8 @@ struct Resolver {
 
   bool is_common_var(std::string_view name) const {
     // A variable is global if ANY unit lists it in a common block; the
-    // subset requires consistent usage, so check all units.
-    for (const auto& u : file->units) {
-      if (u.in_common(name)) return true;
-    }
-    return false;
+    // subset requires consistent usage, so every unit's names count.
+    return common_names->count(name) != 0;
   }
 
   int scalar_slot(std::string_view name) {
@@ -240,10 +240,18 @@ ProgramImage ProgramImage::build(fortran::SourceFile& file,
   // Note: common-shape consistency is a front-end check
   // (GlobalSymbols); it cannot run here because restructured programs
   // declare arrays with run-time (acfd_*) bounds.
+  // The views point into the units' CommonBlock::vars, which
+  // resolution never modifies.
+  std::unordered_set<std::string_view> common_names;
+  for (const auto& u : file.units) {
+    for (const auto& c : u.commons) {
+      common_names.insert(c.vars.begin(), c.vars.end());
+    }
+  }
   Resolver r{&image,          &file,
              &diags,          &image.scalar_by_key_,
              &image.array_by_key_, &image.arrays_,
-             &image.num_scalars_};
+             &image.num_scalars_, &common_names};
   for (auto& u : file.units) {
     r.resolve_unit(u);
   }

@@ -35,7 +35,32 @@
 // cannot exit early (no RETURN/STOP in the body), so a hoisted check
 // can never fire for an access the tree-walker would not perform on a
 // *successfully completing* run; a run that would fault inside the
-// loop faults at loop entry instead, with the same message format.
+// loop faults at loop entry instead. The message is the tree-walker's
+// for the first access it would fault on: the earliest out-of-bounds
+// iteration, at the lowest dimension failing there (a subscript's
+// values are monotone over the loop, so each dimension fails from one
+// iteration on and the check computes that iteration directly).
+//
+// Nest-level walks. A DO loop I that is a direct statement of loop L's
+// body (not under an IF), where neither can exit early, whose bounds
+// are invariant in L and neither of whose variables its body assigns,
+// runs once per iteration of L with the same iterations every time.
+// A reference in I's straight-line assignments whose every subscript
+// is affine in I, affine in L (DimKind::Outer) or invariant in L is
+// then set up once, in L's preheader, not at every entry to I:
+//   * one WalkInit checks L's range x I's range (I's bounds are
+//     computed there too, and I's LoopBegin reuses them). It is
+//     skipped when I has zero trips, as the tree-walker then touches
+//     nothing. On failure it reports the earliest access in (L, I)
+//     iteration order, so for one failing dimension the message is the
+//     tree-walker's whether that dimension follows I or L;
+//   * a cursor holds the element at I's first iteration for the
+//     current iteration of L; L's LoopNext advances it by L's stride;
+//   * I's preheader copies the cursor into the walk (WalkCopy) with no
+//     check, and I's LoopNext advances the walk by I's stride.
+// WalkDesc::nest names L for such a walk; it is still owned by I, so
+// the lane-wise rules below see it as one of I's walks, and an Outer
+// dimension, fixed within I, does not count as affine for rule 3.
 //
 // Flop accounting. The same legality rule lets a loop charge the flops
 // of its body's unconditional assignments once per iteration
@@ -73,8 +98,9 @@
 // scalar and lane-wise paths apply one definition of each op).
 // Each register becomes a lane slot of kLanes doubles in one buffer
 // owned by the engine; loop-invariant registers are broadcast once per
-// loop entry. After the loop, the homes the body assigns and the DO
-// variable hold their last-iteration values, and the loop charges
+// loop entry, into only the min(kLanes, trips) lanes its chunks use.
+// After the loop, the homes the body assigns and the DO variable hold
+// their last-iteration values, and the loop charges
 // iter_flops * trip count (exact, by the integer argument below). A
 // non-finite store throws the scalar path's message for the earliest
 // (iteration, statement) in scalar order: a store that finds a bad
@@ -120,7 +146,9 @@ enum class Op : std::uint8_t {
   JumpIfNotZero,  // if (r[a] != 0) pc = b
   LoopBegin,    // enter loop a: lo=r[b], hi=r[c], step=r[d]
   LoopNext,     // advance loop a: jump to body or fall through to exit
-  WalkInit,     // initialize walk a (hoisted bounds check)
+  WalkInit,     // initialize walk a (hoisted bounds check); a nest-level
+                //   walk reads its loop's lo=r[b], hi=r[c], step=r[d]
+  WalkCopy,     // walk[a].p = cursor[b].p: enter a nest-level walk
   LaneLoop,     // run loop a lane-wise over all its iterations, then exit
   Ret,          // store homes back, halt with Signal::Return
   StopProg,     // store homes back, halt with Signal::Stop
@@ -139,6 +167,8 @@ struct LoopDesc {
   int exit_pc = 0;          // first instruction after the loop
   int walk_begin = 0;       // walks [walk_begin, walk_end) advance
   int walk_end = 0;         //   by one stride each iteration
+  int cursor_begin = 0;     // cursors [cursor_begin, cursor_end) of
+  int cursor_end = 0;       //   nested loops' nest-level walks, likewise
   double iter_flops = 0.0;  // flops charged by each LoopNext
   int lane = -1;            // lane-wise body index, or -1: scalar path
 };
@@ -158,17 +188,27 @@ struct LaneDesc {
   int slots = 0;
 };
 
+/// How one subscript of a strength-reduced array reference moves.
+enum class DimKind : std::uint8_t {
+  Invariant,  // fixed for the walk's lifetime: the value of register reg
+  Affine,     // the owning loop's variable + offset
+  Outer,      // nest-level walk only: the nest loop's variable + offset
+};
+
 /// One dimension of a strength-reduced array reference.
 struct WalkDim {
-  bool affine = false;   // subscript == induction variable + offset
-  long long offset = 0;  // affine case
-  int reg = -1;          // invariant case: register holding the value
+  DimKind kind = DimKind::Invariant;
+  long long offset = 0;  // Affine and Outer
+  int reg = -1;          // Invariant
 };
 
 /// Compile-time description of one strength-reduced array reference.
 struct WalkDesc {
   int array_slot = -1;
-  int loop = -1;  // owning LoopDesc index
+  int loop = -1;    // owning LoopDesc index: its LoopNext advances the walk
+  int nest = -1;    // nest-level walk: the LoopDesc index of the enclosing
+                    //   loop whose preheader checks it; -1 otherwise
+  int cursor = -1;  // nest-level walk: its cursor, advanced by `nest`
   std::vector<WalkDim> dims;
 };
 
@@ -254,6 +294,19 @@ class Program {
   /// Statements referenced by CheckFinite/StoreWalk for error attribution.
   std::vector<const fortran::Stmt*> stmts_;
 
+  /// Start of a walk: its element index and per-iteration strides.
+  struct WalkStart {
+    long long idx = 0;
+    long long stride = 0;        // per iteration of the owning loop
+    long long outer_stride = 0;  // per iteration of the nest loop
+  };
+  /// Checks walk `wd` over every iteration of `own` (the owning loop)
+  /// and, for a nest-level walk, of `outer`; throws the tree-walker's
+  /// out-of-bounds message for the first access that fails.
+  static WalkStart start_walk(const WalkDesc& wd, const ArrayValue& av,
+                              const LoopState& own, const LoopState* outer,
+                              const double* regs);
+
   /// Runs a LaneLoop's iterations; returns the trip count.
   long long run_lanes(const LoopDesc& ld, const LoopState& ls, double* regs,
                       const WalkState* walk, double* lanes) const;
@@ -263,6 +316,9 @@ class Program {
   mutable std::vector<double> regs_;
   mutable std::vector<LoopState> loop_state_;
   mutable std::vector<WalkState> walk_state_;
+  /// Element of each nest-level walk at its loop's first iteration,
+  /// for the current iteration of the enclosing loop.
+  mutable std::vector<WalkState> cursor_state_;
 };
 
 /// Per-interpreter compile cache keyed by statement identity (the AST

@@ -208,8 +208,12 @@ std::optional<std::string> write_sidecar(const std::string& path,
     }
   }
   for (const auto& [key, value] : sidecar.strings) {
-    if (!values.emplace(key, "\"" + support::json_escape(value) + "\"")
-             .second) {
+    // Appended piecewise: GCC 12 -O3 flags the chained operator+ form
+    // with a false -Wrestrict.
+    std::string quoted = "\"";
+    quoted += support::json_escape(value);
+    quoted += '"';
+    if (!values.emplace(key, std::move(quoted)).second) {
       bad.push_back(key + " is both a number and a string");
     }
   }

@@ -7,6 +7,7 @@
 // engine's own machinery on targeted programs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "autocfd/codegen/spmd_runtime.hpp"
@@ -663,6 +664,209 @@ TEST(LaneLoops, NonFiniteStoreReportsTheEarliestIterationLikeTheTree) {
     EXPECT_NE(tree_msg.find(c.array), std::string::npos) << tree_msg;
     EXPECT_EQ(error_of(source, EngineKind::Bytecode), tree_msg);
   }
+}
+
+// --- Nest-level walks -------------------------------------------------------
+
+/// The walks of the kernel compiled from the main program's top-level
+/// statement `index` of `source`.
+std::vector<bytecode::WalkDesc> walks_of(const std::string& source,
+                                         std::size_t index) {
+  auto file = fortran::parse_source(source);
+  DiagnosticEngine diags;
+  const auto image = ProgramImage::build(file, diags);
+  throw_if_errors(diags, "image build");
+  bytecode::BytecodeEngine engine(image);
+  const bytecode::Program* prog =
+      engine.compiled(*file.units.at(0).body.at(index));
+  if (!prog) return {};
+  return prog->walks();
+}
+
+/// How many of `walks` are nest-level.
+long long nest_level(const std::vector<bytecode::WalkDesc>& walks) {
+  return std::count_if(walks.begin(), walks.end(),
+                       [](const bytecode::WalkDesc& w) { return w.nest >= 0; });
+}
+
+/// Fills u and v; each nest below is the main program's second
+/// statement (index 1).
+const std::string kNestPrologue =
+    "program t\n"
+    "parameter (n = 10, m = 6, l = 4)\n"
+    "real u(n, m, l), v(n, m, l), acc\n"
+    "integer i, j, k, last\n"
+    "do k = 1, l\n"
+    "  do j = 1, m\n"
+    "    do i = 1, n\n"
+    "      u(i, j, k) = 0.01 * (i + 2 * j + 3 * k)\n"
+    "      v(i, j, k) = 0.0\n"
+    "    end do\n"
+    "  end do\n"
+    "end do\n";
+
+TEST(NestWalks, HoistsTheStageShapeToTheEnclosingLoop) {
+  // Every reference of the i loop is affine in i, affine in j or
+  // invariant in j (k), so all eight are set up once per j loop entry.
+  const std::string source =
+      kNestPrologue +
+      "do k = 2, l - 1\n"
+      "  do j = 2, m - 1\n"
+      "    do i = 2, n - 1\n"
+      "      acc = 0.0\n"
+      "      acc = acc + 0.5 * (u(i + 1, j, k) - u(i - 1, j, k))\n"
+      "      acc = acc + 0.5 * (u(i, j + 1, k) - u(i, j - 1, k))\n"
+      "      acc = acc + 0.5 * (u(i, j, k + 1) - u(i, j, k - 1))\n"
+      "      v(i, j, k) = u(i, j, k) * 0.98 + 0.01 * acc\n"
+      "    end do\n"
+      "  end do\n"
+      "end do\n"
+      "end\n";
+  const auto r = run_both(source);
+  EXPECT_EQ(r->stats.lane_loops, 2);
+  const auto walks = walks_of(source, 1);
+  ASSERT_EQ(walks.size(), 8u);
+  EXPECT_EQ(nest_level(walks), 8);
+  for (const auto& w : walks) {
+    // Owned by the i loop (loop 2), checked by the j loop (loop 1).
+    EXPECT_EQ(w.loop, 2);
+    EXPECT_EQ(w.nest, 1);
+    ASSERT_EQ(w.dims.size(), 3u);
+    EXPECT_EQ(w.dims[0].kind, bytecode::DimKind::Affine);
+    EXPECT_EQ(w.dims[1].kind, bytecode::DimKind::Outer);
+    EXPECT_EQ(w.dims[2].kind, bytecode::DimKind::Invariant);
+  }
+}
+
+TEST(NestWalks, LeavesLoopsWithVaryingOrGuardedEntriesToTheirOwnChecks) {
+  const std::string triangular =
+      "do j = 1, m\n"
+      "  do i = 1, j\n"
+      "    v(i, j, 2) = u(i, j, 2) * 2.0\n"
+      "  end do\n"
+      "end do\n";
+  const std::string guarded =
+      "do j = 1, m\n"
+      "  if (j .gt. 2) then\n"
+      "    do i = 1, n\n"
+      "      v(i, j, 2) = u(i, j, 2) * 2.0\n"
+      "    end do\n"
+      "  end if\n"
+      "end do\n";
+  const std::string bound_assigned =
+      "do j = 1, m\n"
+      "  last = n - 1\n"
+      "  do i = 1, last\n"
+      "    v(i, j, 2) = u(i, j, 2) * 2.0\n"
+      "  end do\n"
+      "end do\n";
+  for (const auto& shape : {triangular, guarded, bound_assigned}) {
+    const std::string source = kNestPrologue + shape + "end\n";
+    SCOPED_TRACE(source);
+    (void)run_both(source);
+    const auto walks = walks_of(source, 1);
+    EXPECT_EQ(walks.size(), 2u);  // still walks, set up per i loop entry
+    EXPECT_EQ(nest_level(walks), 0);
+  }
+}
+
+TEST(NestWalks, ZeroTripInnerLoopSkipsTheHoistedCheck) {
+  // The i loop never runs, so its far out-of-range subscripts are
+  // never touched: neither engine may fault.
+  const std::string source =
+      kNestPrologue +
+      "do j = 1, m\n"
+      "  do i = 10, 1\n"
+      "    v(i + 100, j + 50, 9) = u(i - 100, j, 2)\n"
+      "  end do\n"
+      "end do\n"
+      "end\n";
+  (void)run_both(source);
+  EXPECT_EQ(nest_level(walks_of(source, 1)), 2);
+}
+
+TEST(NestWalks, OutOfBoundsReportsTheTreesFirstFailingAccess) {
+  // The hoisted check covers both loops' ranges; the message names the
+  // access the tree-walker faults on first: the earliest (j, i) in
+  // iteration order, at its lowest failing dimension.
+  for (const std::string ref :
+       {"u(i + 1, j, 2)",        // inner-affine dim, last i of j = 1
+        "u(i, j + 2, 2)",        // outer-affine dim, first i of j = m - 1
+        "u(i + 1, j + 2, 2)",    // both: the inner one fails first
+        "u(i - 1, j - 1, 2)",    // both at the first access: dim 1
+        "u(i + 1, j, l + 1)"}) {  // invariant dim fails at once: dim 3
+    const std::string source = kNestPrologue +
+                               "do j = 1, m\n"
+                               "  do i = 1, n\n"
+                               "    acc = " + ref + "\n"
+                               "  end do\n"
+                               "end do\n"
+                               "end\n";
+    SCOPED_TRACE(source);
+    ASSERT_EQ(nest_level(walks_of(source, 1)), 1);
+    const auto tree_msg = error_of(source, EngineKind::Tree);
+    EXPECT_NE(tree_msg.find("array subscript out of bounds"),
+              std::string::npos);
+    EXPECT_EQ(error_of(source, EngineKind::Bytecode), tree_msg);
+  }
+}
+
+TEST(NestWalks, SingleLoopCheckReportsTheFirstFailingAccessToo) {
+  // a(i + 1, 7): dim 2 fails on the first access, before dim 1 does.
+  const std::string source =
+      "program t\n"
+      "real a(5, 6), s\n"
+      "integer i\n"
+      "do i = 1, 5\n"
+      "  s = a(i + 1, 7)\n"
+      "end do\n"
+      "end\n";
+  const auto tree_msg = error_of(source, EngineKind::Tree);
+  EXPECT_NE(tree_msg.find("dim 2 value 7"), std::string::npos) << tree_msg;
+  EXPECT_EQ(error_of(source, EngineKind::Bytecode), tree_msg);
+}
+
+TEST(NestWalks, DoVariableAssignedInItsBodyIsNotWalked) {
+  // The tree-walker reads the assigned value of i; a walk would follow
+  // the loop counter instead.
+  const std::string source =
+      "program t\n"
+      "real a(12)\n"
+      "integer i\n"
+      "do i = 1, 5\n"
+      "  i = i + 1\n"
+      "  a(i) = i\n"
+      "end do\n"
+      "end\n";
+  const auto r = run_both(source);
+  EXPECT_EQ(r->stats.walks_reduced, 0);
+}
+
+TEST(NestWalks, SplatsFillEveryLaneOfALongerTripAfterAShortOne) {
+  // The first i loop runs 3 trips, the second 3 + kLanes + 72; `c`
+  // changes between them and is broadcast to the lanes each trip uses.
+  const int trips = 3 + bytecode::kLanes + 72;
+  const std::string source =
+      "program t\n"
+      "parameter (n = " + std::to_string(trips) + ")\n"
+      "real a(n, 2), b(n, 2), c, s\n"
+      "integer i, j\n"
+      "s = 1.5\n"
+      "do j = 1, 2\n"
+      "  do i = 1, n\n"
+      "    a(i, j) = 0.25 * i - j\n"
+      "  end do\n"
+      "end do\n"
+      "do j = 1, 2\n"
+      "  c = 0.5 * j + s\n"
+      "  do i = 1, 3 + (j - 1) * (n - 3)\n"
+      "    b(i, j) = a(i, j) * s + c\n"
+      "  end do\n"
+      "end do\n"
+      "end\n";
+  const auto r = run_both(source);
+  EXPECT_EQ(r->stats.lane_loops, 2);
+  EXPECT_EQ(scalar_of(*r, "t", "i"), trips);
 }
 
 // --- Contiguous halo packing ------------------------------------------------

@@ -254,6 +254,37 @@ TEST(Interp, LocalsAreUnitScoped) {
   EXPECT_DOUBLE_EQ(scalar_of(*r, "clobber", "x"), 99.0);
 }
 
+TEST(Interp, ANameInAnyUnitsCommonIsGlobalInEveryUnit) {
+  // Only one unit lists `x` and `v` in a common block; the other merely
+  // declares them. The name is global if any unit lists it, so both
+  // units share one slot, whichever unit comes first in the file.
+  const std::string lister =
+      "subroutine lister\n"
+      "real x, v(3)\n"
+      "common /blk/ x, v\n"
+      "x = x + 2.0\n"
+      "v(2) = 5.0\n"
+      "return\n"
+      "end\n";
+  const std::string main_unit =
+      "program p\n"
+      "real x, v(3)\n"
+      "x = 1.0\n"
+      "call lister\n"
+      "v(3) = v(2) + x\n"
+      "end\n";
+  for (const auto& source : {main_unit + lister, lister + main_unit}) {
+    SCOPED_TRACE(source);
+    const auto r = run_sequential(source);
+    EXPECT_EQ(r->image.scalar_slot("p", "x"),
+              r->image.scalar_slot("lister", "x"));
+    EXPECT_EQ(r->image.array_slot("p", "v"),
+              r->image.array_slot("lister", "v"));
+    EXPECT_DOUBLE_EQ(scalar_of(*r, "p", "x"), 3.0);
+    EXPECT_DOUBLE_EQ(array_of(*r, "p", "v").data[2], 8.0);
+  }
+}
+
 TEST(Interp, ReturnExitsSubroutineOnly) {
   const auto r = run_sequential(
       "program p\n"

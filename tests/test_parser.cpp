@@ -201,8 +201,7 @@ TEST(Parser, CommonBlock) {
   const auto& unit = file.units[0];
   ASSERT_EQ(unit.commons.size(), 1u);
   EXPECT_EQ(unit.commons[0].block_name, "flow");
-  EXPECT_TRUE(unit.in_common("v"));
-  EXPECT_FALSE(unit.in_common("w"));
+  EXPECT_EQ(unit.commons[0].vars, std::vector<std::string>{"v"});
 }
 
 TEST(Parser, DimensionWithLowerBounds) {

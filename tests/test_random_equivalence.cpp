@@ -19,6 +19,14 @@
 namespace autocfd::core {
 namespace {
 
+/// `prefix` followed by `n`, appended piecewise: GCC 12 -O3 flags
+/// `"q" + std::to_string(n)` with a false -Wrestrict.
+std::string numbered(const char* prefix, int n) {
+  std::string name = prefix;
+  name += std::to_string(n);
+  return name;
+}
+
 struct GeneratedProgram {
   std::string source;
   std::vector<std::string> arrays;
@@ -32,7 +40,7 @@ GeneratedProgram generate(unsigned seed) {
 
   const int n_arrays = pick(2, 4);
   std::vector<std::string> arrays;
-  for (int a = 0; a < n_arrays; ++a) arrays.push_back("q" + std::to_string(a));
+  for (int a = 0; a < n_arrays; ++a) arrays.push_back(numbered("q", a));
 
   std::ostringstream os;
   os << "!$acfd grid 14 11\n!$acfd status";
@@ -103,9 +111,9 @@ std::string generate_scalar_carried(unsigned seed) {
     return std::uniform_int_distribution<int>(lo, hi)(rng);
   };
   const int n_arrays = pick(2, 3);
-  const auto arr = [&] { return "q" + std::to_string(pick(0, n_arrays - 1)); };
-  const auto acc = [&] { return "s" + std::to_string(pick(0, 2)); };
-  const auto coef = [&] { return "0." + std::to_string(pick(1, 9)); };
+  const auto arr = [&] { return numbered("q", pick(0, n_arrays - 1)); };
+  const auto acc = [&] { return numbered("s", pick(0, 2)); };
+  const auto coef = [&] { return numbered("0.", pick(1, 9)); };
 
   std::ostringstream decls;
   decls << "parameter (n = 9, m = 7)\n";
